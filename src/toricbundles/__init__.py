@@ -55,7 +55,6 @@ from .stability import (
     RestrictionReport,
     StabilityReport,
     VerificationError,
-    brute_force_max_slope,
     c1,
     check_stability,
     compare_average_polytopes,

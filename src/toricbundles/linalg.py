@@ -7,7 +7,7 @@ every construction is bit-reproducible. No floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -215,6 +215,41 @@ def intersect(u: Subspace, v: Subspace) -> Subspace:
 
 def matrix_rank(rows: Iterable[Sequence], width: int) -> int:
     return len(_rref(rows, width))
+
+
+def integer_row(v: Sequence) -> tuple[int, ...]:
+    """A rational vector times the lcm of its denominators: same line, ints."""
+    v = vector(v)
+    scale = lcm(*(x.denominator for x in v))
+    return tuple(int(x * scale) for x in v)
+
+
+def integer_rank(rows: Iterable[Sequence[int]]) -> int:
+    """Rank of an integer matrix by fraction-free elimination (Bareiss 1968).
+
+    After each pivot every remaining entry is a minor of the input, so the
+    division by the previous pivot is exact and no Fraction is built.
+    """
+    mat = [list(r) for r in rows]
+    n = len(mat)
+    width = len(mat[0]) if mat else 0
+    rank = 0
+    prev = 1
+    for col in range(width):
+        piv = next((i for i in range(rank, n) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        top = mat[rank]
+        p = top[col]
+        for i in range(rank + 1, n):
+            a = mat[i][col]
+            mat[i] = [(p * x - a * y) // prev for x, y in zip(mat[i], top)]
+        prev = p
+        rank += 1
+        if rank == n:
+            break
+    return rank
 
 
 def det(rows: Sequence[Sequence]) -> Fraction:

@@ -7,12 +7,15 @@ echelon basis rows of V (preference pool first when a target subspace is
 given). The traversal order inside a dimension class is the one licensed
 degree of freedom and is pinned to the lexicographic order of canonical
 bases; tests exercise its irrelevance.
+
+Closure and flats come from the matroid rank of ground-set bitmasks, which
+each ground set computes by integer elimination and memoizes.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from functools import total_ordering
+from dataclasses import dataclass, field
+from functools import cached_property, total_ordering
 
 from .bundle import (
     IncompatibilityWitness,
@@ -20,7 +23,15 @@ from .bundle import (
     _split_cone,
     check_compatibility,
 )
-from .linalg import Subspace, Vector, intersect, span, subspace_sum
+from .linalg import (
+    Subspace,
+    Vector,
+    integer_rank,
+    integer_row,
+    intersect,
+    span,
+    subspace_sum,
+)
 
 
 @dataclass(frozen=True)
@@ -52,14 +63,33 @@ def build_lattice(bundle: ToricBundle, ray_indices=None) -> SubspaceLattice:
 
 @dataclass(frozen=True)
 class GroundSet:
-    """Output of the ground-set sweep, with its step trace."""
+    """Output of the ground-set sweep, with its step trace.
+
+    Subsets of the ground set are bitmasks (bit e for element e); `rank`
+    is the matroid rank function, memoized on this instance.
+    """
 
     ambient: int
     vectors: tuple[Vector, ...]
     steps: tuple[Subspace, ...]  # steps[k] = lattice element that produced vectors[k]
+    _rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _ranks: dict[int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_rows", tuple(integer_row(v) for v in self.vectors))
+        object.__setattr__(self, "_ranks", {0: 0})
 
     def __len__(self):
         return len(self.vectors)
+
+    def rank(self, mask: int) -> int:
+        """Dimension of the span of the ground vectors in the bitmask."""
+        r = self._ranks.get(mask)
+        if r is None:
+            rows = self._rows
+            r = integer_rank([rows[e] for e in range(len(rows)) if mask >> e & 1])
+            self._ranks[mask] = r
+        return r
 
     def indices_in(self, w: Subspace) -> tuple[int, ...]:
         return tuple(i for i, v in enumerate(self.vectors) if w.contains(v))
@@ -115,17 +145,31 @@ def bundle_ground_set(bundle: ToricBundle, prefer: Subspace | None = None) -> Gr
     return ground_set(build_lattice(bundle), prefer=prefer)
 
 
+def _mask(indices) -> int:
+    m = 0
+    for e in indices:
+        m |= 1 << e
+    return m
+
+
+def _indices(mask: int) -> tuple[int, ...]:
+    return tuple(e for e in range(mask.bit_length()) if mask >> e & 1)
+
+
 @total_ordering
 @dataclass(frozen=True)
 class Flat:
-    """A closure-closed subset of the ground set, with its span."""
+    """A closure-closed subset of the ground set; its span is built on
+    first read."""
 
     indices: tuple[int, ...]
-    subspace: Subspace
+    rank: int
+    ground_set: GroundSet = field(repr=False)
 
-    @property
-    def rank(self) -> int:
-        return self.subspace.dim
+    @cached_property
+    def subspace(self) -> Subspace:
+        gs = self.ground_set
+        return span([gs.vectors[i] for i in self.indices], gs.ambient)
 
     def is_empty(self) -> bool:
         return not self.indices
@@ -140,39 +184,61 @@ class Flat:
         return hash(self.indices)
 
 
+def _close(gs: GroundSet, mask: int, candidates: int) -> int:
+    """The mask plus every candidate element that leaves its rank unchanged."""
+    r = gs.rank(mask)
+    out = mask
+    while candidates:
+        bit = candidates & -candidates
+        candidates ^= bit
+        if gs.rank(mask | bit) == r:
+            out |= bit
+    return out
+
+
 def closure(gs: GroundSet, subset) -> Flat:
-    """Smallest flat containing the given ground-set indices."""
+    """Smallest flat containing the given ground-set indices:
+    {e : r(F + e) = r(F)}."""
     subset = sorted(set(subset))
     for i in subset:
         if not 0 <= i < len(gs.vectors):
             raise IndexError(f"ground-set index {i} out of range")
-    sp = span([gs.vectors[i] for i in subset], gs.ambient)
-    return Flat(indices=gs.indices_in(sp), subspace=sp)
+    mask = _mask(subset)
+    flat = _close(gs, mask, ((1 << len(gs)) - 1) & ~mask)
+    return Flat(indices=_indices(flat), rank=gs.rank(mask), ground_set=gs)
 
 
 def enumerate_flats(gs: GroundSet) -> tuple[Flat, ...]:
     """Every flat exactly once, sorted by (rank, indices); includes the
-    empty and full flats, which stability callers filter out."""
-    empty = closure(gs, ())
-    found = {empty.indices: empty}
+    empty and full flats, which stability callers filter out.
+
+    Frontier search by rank: the flats covering F partition the elements
+    outside F, so each cover is the closure of F + e for the first element
+    e not yet placed, searched among the unplaced elements only.
+    """
+    everything = (1 << len(gs)) - 1
+    empty = _close(gs, 0, everything)
+    found = {empty}
     frontier = [empty]
     while frontier:
         nxt = []
         for flat in frontier:
-            inside = set(flat.indices)
-            for e in range(len(gs.vectors)):
-                if e in inside:
-                    continue
-                bigger = closure(gs, flat.indices + (e,))
-                if bigger.indices not in found:
-                    found[bigger.indices] = bigger
-                    nxt.append(bigger)
+            rest = everything & ~flat
+            while rest:
+                e = rest & -rest
+                cover = _close(gs, flat | e, rest & ~e)
+                rest &= ~cover
+                if cover not in found:
+                    found.add(cover)
+                    nxt.append(cover)
         frontier = nxt
-    return tuple(sorted(found.values()))
+    return tuple(sorted(
+        Flat(indices=_indices(m), rank=gs.rank(m), ground_set=gs) for m in found
+    ))
 
 
 def proper_nonzero_flats(gs: GroundSet) -> tuple[Flat, ...]:
-    full_dim = span(gs.vectors, gs.ambient).dim
+    full_dim = gs.rank((1 << len(gs)) - 1)
     return tuple(
         f for f in enumerate_flats(gs) if 0 < f.rank < full_dim
     )
@@ -184,11 +250,10 @@ def is_compatible_flat(bundle: ToricBundle, flat: Flat, seed: int = 0):
 
     The bundle itself must be compatible (raises otherwise).
     """
-    check_compatibility(bundle, seed=seed)
-    f_space = flat.subspace
-    if f_space.dim == 0 or f_space.is_full():
-        sheet = check_compatibility(bundle, seed=seed)
+    sheet = check_compatibility(bundle, seed=seed)
+    if flat.rank == 0 or flat.rank == bundle.rank:
         return True, sheet.rows
+    f_space = flat.subspace
     witness = []
     for ci in range(len(bundle.fan.max_cones)):
         res = _split_cone(bundle, ci, seed, prefer=f_space, flat_dim=f_space.dim)

@@ -7,7 +7,6 @@ nonzero flat's slope against the bundle's.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -21,12 +20,11 @@ from .linalg import (
     matrix_rank,
     orthogonal_lattice_basis,
     solve_rational_system,
-    span,
     subspace_sum,
     vec_sub,
     vector,
 )
-from .matroid import Flat, bundle_ground_set, proper_nonzero_flats
+from .matroid import Flat, GroundSet, bundle_ground_set, proper_nonzero_flats
 from .polytopes import HPolytope, newton_polytope
 
 
@@ -211,15 +209,46 @@ class StabilityReport:
     witness_slope: Fraction | None
 
 
+def _level_masks(bundle: ToricBundle, gs: GroundSet):
+    """Per ray, (threshold, mask of the ground vectors in E(threshold)) for
+    every step. The sweep spans each filtration value by the ground vectors
+    inside it, so E^i(j) meets the ground set in {e : level_i(e) >= j}."""
+    out = []
+    for filt in bundle.filtrations:
+        levels = [filt.max_level(v) for v in gs.vectors]
+        out.append([
+            (a, sum(1 << e for e, lv in enumerate(levels) if lv >= a))
+            for a in filt.thresholds
+        ])
+    return out
+
+
+def _c1_by_rank(gs: GroundSet, masks, mask: int) -> tuple[int, ...]:
+    """c_1 of the subsheaf spanned by a ground-set mask F, from ranks alone:
+    dim(E^i(j) n F) = r(E^i(j)) + r(F) - r(E^i(j) u F)."""
+    rank = gs.rank
+    r_f = rank(mask)
+    out = []
+    for steps in masks:
+        dims = [rank(m) + r_f - rank(m | mask) for _, m in steps] + [0]
+        out.append(sum(a * (d - d_next) for (a, _), d, d_next in zip(steps, dims, dims[1:])))
+    return tuple(out)
+
+
 def check_stability(bundle: ToricBundle, pol: Polarization, seed: int = 0) -> StabilityReport:
     """Compare every proper nonzero flat's slope against the bundle's."""
     check_compatibility(bundle, seed=seed)
-    full = Subspace.full(bundle.rank)
-    mu = slope(bundle, full, pol)
     gs = bundle_ground_set(bundle)
+    masks = _level_masks(bundle, gs)
+
+    def slope_of(mask: int, dim: int) -> Fraction:
+        coeffs = _c1_by_rank(gs, masks, mask)
+        return sum((a * t for a, t in zip(coeffs, pol.weights)), Fraction(0)) / dim
+
+    mu = slope_of((1 << len(gs)) - 1, bundle.rank)
     rows = []
     for flat in proper_nonzero_flats(gs):
-        s = slope(bundle, flat.subspace, pol)
+        s = slope_of(sum(1 << e for e in flat.indices), flat.rank)
         rel = Order.LESS if s < mu else (Order.EQUAL if s == mu else Order.GREATER)
         rows.append(FlatSlope(flat=flat, slope=s, relation=rel))
     stable = all(r.relation is Order.LESS for r in rows)
@@ -413,33 +442,3 @@ def restrict_to_curve(bundle: ToricBundle, wall: Wall, seed: int = 0) -> Restric
         semistable=len(set(degrees_sorted)) <= 1,
         segments=tuple(segments),
     )
-
-
-# ---------------------------------------------------------------------------
-# randomized slope probe
-
-
-def brute_force_max_slope(
-    bundle: ToricBundle, pol: Polarization, samples: int, seed: int = 0
-) -> Fraction | None:
-    """Maximum slope over seeded random subspaces of every intermediate
-    dimension, `samples` per dimension; None when samples == 0."""
-    if samples <= 0:
-        return None
-    r = bundle.rank
-    rng = random.Random(f"slope-probe:{seed}")
-    best = None
-    for k in range(1, r):
-        produced = 0
-        while produced < samples:
-            rows = [
-                [rng.randint(-5, 5) for _ in range(r)] for _ in range(k)
-            ]
-            sp = span(rows, r)
-            if sp.dim != k:
-                continue
-            produced += 1
-            s = slope(bundle, sp, pol)
-            if best is None or s > best:
-                best = s
-    return best

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 
 from conftest import FIXTURE_NAMES, fixture_path
+from subspace_reference import brute_force_max_slope
 
 from toricbundles import load_document
 from toricbundles.bundle import tangent_bundle, twist_by_divisor
@@ -29,7 +30,6 @@ from toricbundles.matroid import (
 )
 from toricbundles.parliament import is_globally_generated, parliament, reconstruct_filtrations
 from toricbundles.stability import (
-    brute_force_max_slope,
     check_stability,
     restrict_to_curve,
     slope,

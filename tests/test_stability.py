@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from subspace_reference import brute_force_max_slope
 
 from toricbundles.bundle import (
     IncompatibleBundleError,
@@ -17,7 +18,6 @@ from toricbundles.stability import (
     Order,
     Polarization,
     PolarizationError,
-    brute_force_max_slope,
     c1,
     check_stability,
     compare_average_polytopes,
