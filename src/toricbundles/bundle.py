@@ -7,18 +7,19 @@ subspaces V_1 = E > V_2 > ... > V_s > 0 and means
     E(j) = V_k   for A_{k-1} < j <= A_k   (A_0 = -infinity),
     E(j) = 0     for j > A_s.
 
-The compatibility check is two-phase: exact inclusion-exclusion profile
-multiplicities first (necessary), then a constructive splitting that is
-verified verbatim against the sum condition, so a "compatible" verdict is
-unconditionally sound. The residual risk of the randomized construction is a
-false "incompatible" after 16 attempts, never a false "compatible".
+The compatibility check is two-phase: exact profile multiplicities first
+(necessary), as finite differences of intersection dimensions found by a
+walk that stops at the first zero intersection, then a constructive
+splitting that is verified verbatim against the sum condition, so a
+"compatible" verdict is unconditionally sound. The residual risk of the
+randomized construction is a false "incompatible" after 16 attempts, never
+a false "compatible".
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .fan import Fan, FanError, validate_fan
 from .linalg import (
@@ -256,36 +257,46 @@ class IncompatibleBundleError(ValueError):
 
 
 def _profile_multiplicities(filts):
-    """Inclusion-exclusion multiplicity of every joint jump profile.
+    """Multiplicity of every joint jump profile on one cone.
 
-    Returns (mult, space) where mult maps profiles to integers and space
-    maps level tuples to the intersection of the filtration values there.
+    D(p) is the dimension of the intersection of E_i(p_i) over the cone's
+    rays, for p in the product of the threshold sets. The multiplicity of p
+    is the k-fold finite difference of D: m(p) <- m(p) - m(p + e_i) on each
+    ray i in turn, where p + e_i moves ray i to its next threshold and D = 0
+    past the last one. The filtrations decrease, so D is monotone and its
+    support is closed downward. A walk over the rays in cone order carries
+    the partial intersection along and stops a branch at its first zero
+    intersection, so it visits D on its support only; every difference stays
+    on that support.
+
+    Returns (mult, space_at): mult maps profiles to their nonzero
+    multiplicities, in lexicographic order; space_at maps every profile in
+    the support of D, so every key of mult, to the intersection of the
+    filtration values there, as the walk found it.
     """
     k = len(filts)
-    cache: dict[tuple[int, ...], Subspace] = {}
+    spaces: dict[tuple[int, ...], Subspace] = {}
 
-    def space_at(levels):
-        if levels not in cache:
-            sp = filts[0].value(levels[0])
-            for f, j in zip(filts[1:], levels[1:]):
-                if sp.dim == 0:
-                    break
-                sp = intersect(sp, f.value(j))
-            cache[levels] = sp
-        return cache[levels]
+    def walk(i, prefix, above):
+        for a, step in filts[i].steps:
+            here = step if above is None else intersect(above, step)
+            if here.dim == 0:
+                break
+            if i + 1 == k:
+                spaces[prefix + (a,)] = here
+            else:
+                walk(i + 1, prefix + (a,), here)
 
-    mult = {}
-    for p in product(*(f.thresholds for f in filts)):
-        m = 0
-        for mask in range(1 << k):
-            levels = tuple(
-                p[i] + 1 if mask & (1 << i) else p[i] for i in range(k)
-            )
-            sign = -1 if bin(mask).count("1") % 2 else 1
-            m += sign * space_at(levels).dim
-        if m:
-            mult[p] = m
-    return mult, space_at
+    walk(0, (), None)
+    mult = {p: sp.dim for p, sp in spaces.items()}
+    for i, f in enumerate(filts):
+        # None past the last threshold: no profile has it, so D reads 0 there
+        following = dict(zip(f.thresholds, f.thresholds[1:] + (None,)))
+        mult = {
+            p: m - mult.get(p[:i] + (following[p[i]],) + p[i + 1:], 0)
+            for p, m in mult.items()
+        }
+    return {p: m for p, m in mult.items() if m}, spaces.__getitem__
 
 
 def _greedy_candidates(pools):
@@ -426,11 +437,4 @@ def associated_characters(bundle: ToricBundle, cone_index: int, seed: int = 0) -
             IncompatibilityWitness(cone_index, cone, p, m,
                                    f"profile {p} has negative multiplicity {m}")
         )
-    # characters are determined by the profile multiplicities alone, but the
-    # full check still certifies that a decomposition exists
-    check_compatibility(bundle, seed=seed)
-    rays = [bundle.fan.rays[i] for i in cone]
-    out = []
-    for p, m in mult.items():
-        out.extend([solve_integer_system(rays, p)] * m)
-    return tuple(sorted(out))
+    return check_compatibility(bundle, seed=seed).characters(cone_index)

@@ -20,7 +20,7 @@ from .io import (
     load_document,
     parse_rational,
 )
-from .matroid import bundle_ground_set, enumerate_flats, is_compatible_flat
+from .matroid import _split_flat, bundle_ground_set, enumerate_flats
 from .parliament import (
     NotGloballyGeneratedError,
     is_globally_generated,
@@ -252,10 +252,11 @@ def _cmd_flats(args, doc, out):
     gs = bundle_ground_set(doc.bundle)
     flats = enumerate_flats(gs)
     full_rank = doc.bundle.rank
+    sheet = check_compatibility(doc.bundle, seed=args.seed)
     payload_flats = []
     for flat in flats:
         trivial = flat.rank == 0 or flat.rank == full_rank
-        compatible, _ = is_compatible_flat(doc.bundle, flat, seed=args.seed)
+        compatible, _ = _split_flat(doc.bundle, flat, sheet, args.seed)
         payload_flats.append(
             {
                 "indices": list(flat.indices),

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, total_ordering
 
 from .bundle import (
+    CharacterSheet,
     IncompatibilityWitness,
     ToricBundle,
     _split_cone,
@@ -250,7 +251,11 @@ def is_compatible_flat(bundle: ToricBundle, flat: Flat, seed: int = 0):
 
     The bundle itself must be compatible (raises otherwise).
     """
-    sheet = check_compatibility(bundle, seed=seed)
+    return _split_flat(bundle, flat, check_compatibility(bundle, seed=seed), seed)
+
+
+def _split_flat(bundle: ToricBundle, flat: Flat, sheet: CharacterSheet, seed: int):
+    """is_compatible_flat for a bundle whose compatibility sheet is known."""
     if flat.rank == 0 or flat.rank == bundle.rank:
         return True, sheet.rows
     f_space = flat.subspace

@@ -1,16 +1,19 @@
 """Reference implementations on rational subspaces, kept for tests only.
 
 The library decides closure, flats and slopes from the integer rank of
-ground-set bitmasks. These are the earlier routes through `Subspace.contains`,
-`intersect` and `Fraction` echelon forms, which the differential tests
-compare against, plus the seeded random-subspace slope probe.
+ground-set bitmasks, and profile multiplicities from finite differences over
+a zero-pruned intersection walk. These are the earlier routes through
+`Subspace.contains`, `intersect`, `Fraction` echelon forms and inclusion-
+exclusion over every level tuple, which the differential tests compare
+against, plus the seeded random-subspace slope probe.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
-from toricbundles.linalg import Subspace, span
+from toricbundles.linalg import Subspace, intersect, span
 from toricbundles.matroid import bundle_ground_set
 from toricbundles.stability import Order, slope
 
@@ -82,3 +85,36 @@ def brute_force_max_slope(bundle, pol, samples: int, seed: int = 0) -> Fraction 
             if best is None or s > best:
                 best = s
     return best
+
+
+def profile_multiplicities(filts):
+    """Inclusion-exclusion multiplicity of every joint jump profile.
+
+    Returns (mult, space) where mult maps profiles to integers and space
+    maps level tuples to the intersection of the filtration values there.
+    """
+    k = len(filts)
+    cache: dict[tuple[int, ...], Subspace] = {}
+
+    def space_at(levels):
+        if levels not in cache:
+            sp = filts[0].value(levels[0])
+            for f, j in zip(filts[1:], levels[1:]):
+                if sp.dim == 0:
+                    break
+                sp = intersect(sp, f.value(j))
+            cache[levels] = sp
+        return cache[levels]
+
+    mult = {}
+    for p in product(*(f.thresholds for f in filts)):
+        m = 0
+        for mask in range(1 << k):
+            levels = tuple(
+                p[i] + 1 if mask & (1 << i) else p[i] for i in range(k)
+            )
+            sign = -1 if bin(mask).count("1") % 2 else 1
+            m += sign * space_at(levels).dim
+        if m:
+            mult[p] = m
+    return mult, space_at

@@ -174,10 +174,23 @@ def test_cli_parliament_svg_with_wall_overlay(tmp_path):
     assert 'class="seg"' in svg_path.read_text()
 
 
-def test_cli_flats(documents):
+def test_cli_flats(documents, monkeypatch):
+    from toricbundles import cli, matroid
+
+    calls = []
+    original = cli.check_compatibility
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "check_compatibility", counting)
+    monkeypatch.setattr(matroid, "check_compatibility", counting)
     code, out, _ = run_cli(["flats", fixture_path("p2_tangent")])
     assert code == 0
     assert out.count("not compatible") == 3
+    # whole-bundle compatibility is decided once, not once per flat
+    assert len(calls) == 1
 
 
 def test_cli_reconstruct():

@@ -2,8 +2,8 @@
 `subspace_reference.py`: flats, closures, slopes and verdicts must agree
 exactly, and flat enumeration must not fall back to Fraction algebra."""
 import sys
-from itertools import combinations
 
+from generators import hexagon, hirzebruch, independent_prefix, projective_space
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from subspace_reference import check_stability as reference_check_stability
@@ -12,7 +12,6 @@ from subspace_reference import enumerate_flats as reference_flats
 
 from toricbundles import linalg
 from toricbundles.bundle import Filtration, ToricBundle, direct_sum, tangent_bundle
-from toricbundles.fan import Fan
 from toricbundles.linalg import Subspace, integer_rank, integer_row, matrix_rank, span
 from toricbundles.matroid import (
     bundle_ground_set,
@@ -28,24 +27,6 @@ from toricbundles.stability import (
     validate_polarization,
 )
 
-HEXAGON_RAYS = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
-
-
-def _hexagon():
-    return Fan(2, HEXAGON_RAYS, [(i, (i + 1) % 6) for i in range(6)])
-
-
-def _hirzebruch(a):
-    return Fan(2, [(1, 0), (0, 1), (-1, a), (0, -1)], [(0, 1), (0, 3), (1, 2), (2, 3)])
-
-
-def _projective_space(d, order):
-    """P^d with its rays listed in the given order."""
-    rays = [tuple(int(i == j) for j in range(d)) for i in range(d)] + [(-1,) * d]
-    where = {old: new for new, old in enumerate(order)}
-    cones = [tuple(sorted(where[i] for i in c)) for c in combinations(range(d + 1), d)]
-    return Fan(d, [rays[i] for i in order], cones)
-
 
 @st.composite
 def _weights(draw, kind):
@@ -59,26 +40,13 @@ def _weights(draw, kind):
     return (t0, t1, t0, t1 + a * t0)
 
 
-def _independent_prefix(pool, order, k, rank):
-    """k independent vectors: pool vectors in the given order that raise
-    the rank, then unit vectors if the pool runs short."""
-    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    out = []
-    for v in [pool[i] for i in order] + units:
-        if len(out) == k:
-            break
-        if matrix_rank(out + [v], rank) == len(out) + 1:
-            out.append(v)
-    return out
-
-
 @st.composite
 def flag_bundles(draw):
     """(bundle, polarization, vector pool): random integer flags of rank 2-4
     on the hexagon or a Hirzebruch fan. Flags draw from one small pool of
     vectors, so lines and planes coincide across rays."""
     kind = draw(st.sampled_from(("hexagon", "h0", "h1", "h2", "h3")))
-    fan = _hexagon() if kind == "hexagon" else _hirzebruch(int(kind[1:]))
+    fan = hexagon() if kind == "hexagon" else hirzebruch(int(kind[1:]))
     rank = draw(st.integers(2, 4))
     entries = st.lists(st.integers(-2, 2), min_size=rank, max_size=rank).map(tuple)
     pool = draw(st.lists(entries, min_size=rank + 1, max_size=rank + 3))
@@ -86,7 +54,7 @@ def flag_bundles(draw):
     for _ in fan.rays:
         dims = sorted(draw(st.sets(st.integers(1, rank - 1), max_size=2)), reverse=True)
         order = draw(st.permutations(range(len(pool))))
-        vecs = _independent_prefix(pool, order, dims[0] if dims else 0, rank)
+        vecs = independent_prefix(pool, order, dims[0] if dims else 0, rank)
         j = draw(st.integers(-2, 2))
         steps = [(j, Subspace.full(rank))]
         for k in dims:
@@ -130,7 +98,7 @@ def test_random_flags_match_subspace_reference(case, data):
 def test_tangent_powers_with_shuffled_rays_match_reference(data):
     d = data.draw(st.sampled_from((2, 3)))
     copies = data.draw(st.sampled_from((1, 2)))
-    fan = _projective_space(d, data.draw(st.permutations(range(d + 1))))
+    fan = projective_space(d, data.draw(st.permutations(range(d + 1))))
     bundle = tangent_bundle(fan)
     for _ in range(copies - 1):
         bundle = direct_sum(bundle, tangent_bundle(fan))
@@ -173,7 +141,7 @@ def test_integer_row_clears_denominators():
 
 
 def test_rank_memo_belongs_to_the_ground_set():
-    fan = _projective_space(2, range(3))
+    fan = projective_space(2, range(3))
     a = bundle_ground_set(tangent_bundle(fan))
     b = bundle_ground_set(direct_sum(tangent_bundle(fan), tangent_bundle(fan)))
     assert a.rank(0b111) == 2 and b.rank((1 << len(b)) - 1) == 4
@@ -181,7 +149,7 @@ def test_rank_memo_belongs_to_the_ground_set():
 
 
 def test_flat_enumeration_does_no_subspace_algebra(monkeypatch):
-    fan = _projective_space(3, range(4))
+    fan = projective_space(3, range(4))
     gs = bundle_ground_set(direct_sum(tangent_bundle(fan), tangent_bundle(fan)))
     calls = {"span": 0, "intersect": 0, "contains": 0}
 
