@@ -9,15 +9,17 @@ subspaces V_1 = E > V_2 > ... > V_s > 0 and means
 
 The compatibility check is two-phase: exact profile multiplicities first
 (necessary), as finite differences of intersection dimensions found by a
-walk that stops at the first zero intersection, then a constructive
-splitting that is verified verbatim against the sum condition, so a
-"compatible" verdict is unconditionally sound. The residual risk of the
-randomized construction is a false "incompatible" after 16 attempts, never
-a false "compatible".
+walk that stops at the first zero intersection, then one greedy splitting,
+verified verbatim against the sum condition. Both verdicts are exact: if a
+compatible basis B exists, every S(q) = n E_i(q_i), and every sum of them, is
+spanned by part of B. Profiles are split in the order (-sum p, p), so no
+earlier q has q <= p, and the lines chosen so far meet S(p) in deeper(p) =
+sum_i S(p + e_i); the echelon rows of S(p) then give exactly m(p) new lines.
+For a preferred F spanned by part of B, the rows of S(p) n F come first and
+give exactly dim F lines inside F.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,10 +32,6 @@ from .linalg import (
     span,
     subspace_sum,
 )
-
-SPLIT_ATTEMPTS = 16
-_RANDOM_COEFF = 3
-_RANDOM_TRIES = 32
 
 
 class Filtration:
@@ -299,55 +297,22 @@ def _profile_multiplicities(filts):
     return {p: m for p, m in mult.items() if m}, spaces.__getitem__
 
 
-def _greedy_candidates(pools):
-    for pool in pools:
-        yield from pool.rows
-
-
-def _random_candidates(pools, rng):
-    for pool in pools:
-        if pool.dim == 0:
-            continue
-        for _ in range(_RANDOM_TRIES):
-            coeffs = [rng.randint(-_RANDOM_COEFF, _RANDOM_COEFF) for _ in pool.rows]
-            if all(c == 0 for c in coeffs):
-                continue
-            yield tuple(
-                sum((Fraction(c) * row[i] for c, row in zip(coeffs, pool.rows)), Fraction(0))
-                for i in range(pool.ambient)
-            )
-
-
-def _attempt_split(filts, mult, space_at, rank, prefer, rng):
-    """One constructive attempt at a compatible decomposition; None on failure."""
-    order = sorted(mult, key=lambda p: (-sum(p), p))
+def _attempt_split(mult, space_at, rank, prefer):
+    """The greedy decomposition: for each profile p by descending sum, m(p)
+    echelon rows of S(p) outside the span of the lines chosen so far; None
+    when some profile runs short of rows."""
     chosen: list[tuple[tuple[int, ...], Vector]] = []
     chosen_span = Subspace.zero(rank)
-    for p in order:
+    for p in sorted(mult, key=lambda p: (-sum(p), p)):
         inter = space_at(p)
-        deeper = Subspace.zero(rank)
-        for i in range(len(filts)):
-            deeper = subspace_sum(deeper, intersect(inter, filts[i].value(p[i] + 1)))
-        blocked = subspace_sum(chosen_span, deeper)
-        pools = []
-        if prefer is not None:
-            pools.append(intersect(inter, prefer))
-        pools.append(inter)
-        if rng is None:
-            candidates = _greedy_candidates(pools)
-        else:
-            candidates = _random_candidates(pools, rng)
+        pools = [inter] if prefer is None else [intersect(inter, prefer), inter]
         need = mult[p]
-        for cand in candidates:
-            if blocked.contains(cand):
-                continue
-            chosen.append((p, cand))
-            line = span([cand], rank)
-            blocked = subspace_sum(blocked, line)
-            chosen_span = subspace_sum(chosen_span, line)
-            need -= 1
-            if need == 0:
-                break
+        for pool in pools:
+            for cand in pool.rows:
+                if need and not chosen_span.contains(cand):
+                    chosen.append((p, cand))
+                    chosen_span = subspace_sum(chosen_span, span([cand], rank))
+                    need -= 1
         if need:
             return None
     return chosen
@@ -365,10 +330,10 @@ def _verify_split(filts, assignment, rank) -> bool:
     return True
 
 
-def _split_cone(bundle, cone_index, seed, prefer, flat_dim=None):
+def _split_cone(bundle, cone_index, prefer=None, flat_dim=None):
     """Compatible basis rows on one cone, or an IncompatibilityWitness.
 
-    With flat_dim set, an attempt is only accepted when exactly flat_dim of
+    With flat_dim set, the split is only accepted when exactly flat_dim of
     its lines lie inside `prefer` (the compatible-flat count condition).
     """
     cone = bundle.fan.max_cones[cone_index]
@@ -380,52 +345,37 @@ def _split_cone(bundle, cone_index, seed, prefer, flat_dim=None):
                 cone_index, cone, p, m,
                 f"profile {p} has negative multiplicity {m}",
             )
-    rays = [bundle.fan.rays[i] for i in cone]
-    last_reason = "no splitting attempt succeeded"
-    for attempt in range(SPLIT_ATTEMPTS):
-        rng = None if attempt == 0 else random.Random(f"{seed}:{cone_index}:{attempt}")
-        assignment = _attempt_split(filts, mult, space_at, bundle.rank, prefer, rng)
-        if assignment is None:
-            last_reason = "could not draw independent lines for every profile"
-            continue
-        if not _verify_split(filts, assignment, bundle.rank):
-            last_reason = "drawn decomposition failed the sum-condition verification"
-            continue
-        if flat_dim is not None:
-            inside = sum(1 for _, v in assignment if prefer.contains(v))
-            if inside != flat_dim:
-                last_reason = (
-                    f"basis meets the flat in {inside} lines, need {flat_dim}"
-                )
-                continue
-        rows = tuple(
-            SheetRow(profile=p, character=solve_integer_system(rays, p), vector=v)
-            for p, v in assignment
+    assignment = _attempt_split(mult, space_at, bundle.rank, prefer)
+    if assignment is None:
+        reason = "no independent lines left for some profile"
+    elif not _verify_split(filts, assignment, bundle.rank):
+        reason = "the greedy decomposition fails the sum condition"
+    else:
+        inside = None if flat_dim is None else sum(
+            1 for _, v in assignment if prefer.contains(v)
         )
-        return rows
-    return IncompatibilityWitness(
-        cone_index, cone, None, None,
-        f"{last_reason} after {SPLIT_ATTEMPTS} attempts "
-        "(randomized search; may be a false negative)",
-    )
+        if inside == flat_dim:
+            rays = [bundle.fan.rays[i] for i in cone]
+            return tuple(
+                SheetRow(profile=p, character=solve_integer_system(rays, p), vector=v)
+                for p, v in assignment
+            )
+        reason = f"basis meets the flat in {inside} lines, need {flat_dim}"
+    return IncompatibilityWitness(cone_index, cone, None, None, reason)
 
 
-def check_compatibility(bundle: ToricBundle, seed: int = 0, prefer: Subspace | None = None) -> CharacterSheet:
-    """Decide the compatibility condition; raises IncompatibleBundleError.
-
-    `prefer` biases the line draws toward a subspace (used by the
-    subbundle and compatible-flat tests); it never affects the verdict.
-    """
+def check_compatibility(bundle: ToricBundle) -> CharacterSheet:
+    """Decide the compatibility condition; raises IncompatibleBundleError."""
     all_rows = []
     for ci in range(len(bundle.fan.max_cones)):
-        res = _split_cone(bundle, ci, seed, prefer)
+        res = _split_cone(bundle, ci)
         if isinstance(res, IncompatibilityWitness):
             raise IncompatibleBundleError(res)
         all_rows.append(res)
     return CharacterSheet(rows=tuple(all_rows))
 
 
-def associated_characters(bundle: ToricBundle, cone_index: int, seed: int = 0) -> tuple[tuple[int, ...], ...]:
+def associated_characters(bundle: ToricBundle, cone_index: int) -> tuple[tuple[int, ...], ...]:
     """The multiset u(sigma), sorted; independent of the realized basis."""
     cone = bundle.fan.max_cones[cone_index]
     filts = [bundle.filtrations[i] for i in cone]
@@ -437,4 +387,4 @@ def associated_characters(bundle: ToricBundle, cone_index: int, seed: int = 0) -
             IncompatibilityWitness(cone_index, cone, p, m,
                                    f"profile {p} has negative multiplicity {m}")
         )
-    return check_compatibility(bundle, seed=seed).characters(cone_index)
+    return check_compatibility(bundle).characters(cone_index)

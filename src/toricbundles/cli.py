@@ -3,7 +3,7 @@
 Subcommands: check, parliament, flats, restrict, weights, reconstruct,
 validate. Exit codes: 0 computed, 1 invalid input, 2 incompatible bundle,
 3 internal verification failure. Results go to stdout, diagnostics to
-stderr; json output is byte-deterministic for fixed input, flags and seed.
+stderr; json output is byte-deterministic for fixed input and flags.
 """
 from __future__ import annotations
 
@@ -53,7 +53,8 @@ def _build_parser():
     def common(p, polarized=False):
         p.add_argument("document", help="bundle document (JSON)")
         p.add_argument("--seed", type=int, default=0,
-                       help="seed for the randomized splitting search (default 0)")
+                       help="echoed as \"seed\" in json output; no result "
+                            "depends on it (default 0)")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--trace", action="store_true",
                        help="dump the subspace lattice, ground-set trace and "
@@ -90,7 +91,7 @@ def _build_parser():
     return parser
 
 
-def _trace(doc, seed):
+def _trace(doc):
     from .matroid import build_lattice, ground_set
 
     out = sys.stderr
@@ -102,7 +103,7 @@ def _trace(doc, seed):
     print("ground-set trace:", file=out)
     for i, (v, step) in enumerate(zip(gs.vectors, gs.steps)):
         print(f"  e{i} = {tuple(str(x) for x in v)} appended at {step!r}", file=out)
-    sheet = check_compatibility(doc.bundle, seed=seed)
+    sheet = check_compatibility(doc.bundle)
     print("character sheets:", file=out)
     for ci, rows in enumerate(sheet.rows):
         cone = doc.fan.max_cones[ci]
@@ -135,7 +136,7 @@ def _flat_payload(fs):
 
 def _cmd_check(args, doc, out):
     pol = _require_polarization(doc)
-    report = check_stability(doc.bundle, pol, seed=args.seed)
+    report = check_stability(doc.bundle, pol)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "check",
@@ -182,8 +183,8 @@ def _cmd_check(args, doc, out):
 
 
 def _cmd_parliament(args, doc, out):
-    parl = parliament(doc.bundle, seed=args.seed)
-    gg = is_globally_generated(doc.bundle, seed=args.seed)
+    parl = parliament(doc.bundle)
+    gg = is_globally_generated(doc.bundle)
     spans = doc.bundle.summand_spans
     entries = []
     for e in parl.entries:
@@ -228,7 +229,7 @@ def _cmd_parliament(args, doc, out):
             ws = walls(doc.fan)
             if not 0 <= args.wall < len(ws):
                 raise SchemaError([("--wall", f"wall index out of range 0..{len(ws) - 1}")])
-            segments = restrict_to_curve(doc.bundle, ws[args.wall], seed=args.seed).segments
+            segments = restrict_to_curve(doc.bundle, ws[args.wall]).segments
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(render_svg(parl, SvgOptions(wall_segments=segments)))
     if args.format == "json":
@@ -252,11 +253,11 @@ def _cmd_flats(args, doc, out):
     gs = bundle_ground_set(doc.bundle)
     flats = enumerate_flats(gs)
     full_rank = doc.bundle.rank
-    sheet = check_compatibility(doc.bundle, seed=args.seed)
+    sheet = check_compatibility(doc.bundle)
     payload_flats = []
     for flat in flats:
         trivial = flat.rank == 0 or flat.rank == full_rank
-        compatible, _ = _split_flat(doc.bundle, flat, sheet, args.seed)
+        compatible, _ = _split_flat(doc.bundle, flat, sheet)
         payload_flats.append(
             {
                 "indices": list(flat.indices),
@@ -289,7 +290,7 @@ def _cmd_restrict(args, doc, out):
     if not 0 <= args.wall < len(ws):
         raise SchemaError([("--wall", f"wall index out of range 0..{len(ws) - 1}")])
     wall = ws[args.wall]
-    report = restrict_to_curve(doc.bundle, wall, seed=args.seed)
+    report = restrict_to_curve(doc.bundle, wall)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "restrict",
@@ -352,7 +353,7 @@ def _cmd_weights(args, doc, out):
 
 
 def _cmd_reconstruct(args, doc, out):
-    parl = parliament(doc.bundle, seed=args.seed)
+    parl = parliament(doc.bundle)
     recovered = reconstruct_filtrations(parl, doc.fan, doc.bundle.rank)
     matches = [rec == orig for rec, orig in zip(recovered, doc.bundle.filtrations)]
     payload = {
@@ -372,7 +373,7 @@ def _cmd_reconstruct(args, doc, out):
 
 def _cmd_validate(args, doc, out):
     report = validate_fan(doc.fan)
-    sheet = check_compatibility(doc.bundle, seed=args.seed)
+    sheet = check_compatibility(doc.bundle)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "validate",
@@ -429,7 +430,7 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     try:
         if args.trace:
-            _trace(doc, args.seed)
+            _trace(doc)
         _COMMANDS[args.command](args, doc, sys.stdout)
     except SchemaError as exc:
         for path, message in exc.errors:

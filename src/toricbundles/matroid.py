@@ -245,30 +245,30 @@ def proper_nonzero_flats(gs: GroundSet) -> tuple[Flat, ...]:
     )
 
 
-def is_compatible_flat(bundle: ToricBundle, flat: Flat, seed: int = 0):
+def is_compatible_flat(bundle: ToricBundle, flat: Flat):
     """Whether some compatible basis meets the flat's span in exactly
     rank-many lines on every maximal cone; returns (verdict, witness bases).
 
     The bundle itself must be compatible (raises otherwise).
     """
-    return _split_flat(bundle, flat, check_compatibility(bundle, seed=seed), seed)
+    return _split_flat(bundle, flat, check_compatibility(bundle))
 
 
-def _split_flat(bundle: ToricBundle, flat: Flat, sheet: CharacterSheet, seed: int):
+def _split_flat(bundle: ToricBundle, flat: Flat, sheet: CharacterSheet):
     """is_compatible_flat for a bundle whose compatibility sheet is known."""
     if flat.rank == 0 or flat.rank == bundle.rank:
         return True, sheet.rows
     f_space = flat.subspace
     witness = []
     for ci in range(len(bundle.fan.max_cones)):
-        res = _split_cone(bundle, ci, seed, prefer=f_space, flat_dim=f_space.dim)
+        res = _split_cone(bundle, ci, prefer=f_space, flat_dim=f_space.dim)
         if isinstance(res, IncompatibilityWitness):
             return False, None
         witness.append(res)
     return True, tuple(witness)
 
 
-def is_subbundle(bundle: ToricBundle, f_space: Subspace, seed: int = 0) -> bool:
+def is_subbundle(bundle: ToricBundle, f_space: Subspace) -> bool:
     """Whether the subsheaf cut out by F is an equivariant subbundle.
 
     Requires (a) a preference-built ground set with span(G n F) = F and
@@ -284,7 +284,7 @@ def is_subbundle(bundle: ToricBundle, f_space: Subspace, seed: int = 0) -> bool:
     if span([gs.vectors[i] for i in inside], gs.ambient) != f_space:
         return False
     flat = closure(gs, inside)
-    ok, witness = is_compatible_flat(bundle, flat, seed=seed)
+    ok, witness = is_compatible_flat(bundle, flat)
     if not ok:
         return False
     for ci, rows in enumerate(witness):

@@ -18,19 +18,13 @@ from .matroid import GroundSet, bundle_ground_set, closure
 from .polytopes import HPolytope
 
 
-def polytope_of(bundle: ToricBundle, e, within: Subspace | None = None) -> HPolytope:
-    """Polytope of a nonzero fiber vector: bound max{j : e in E^i(j)} per ray.
-
-    With `within`, the filtrations are intersected with that subspace first
-    (the parliament of a saturated subsheaf); e must then lie in it.
-    """
+def polytope_of(bundle: ToricBundle, e) -> HPolytope:
+    """Polytope of a nonzero fiber vector: bound max{j : e in E^i(j)} per ray."""
     from .linalg import is_zero_vector, vector
 
     ev = vector(e, bundle.rank)
     if is_zero_vector(ev):
         raise ValueError("the zero vector has no parliament polytope")
-    if within is not None and not within.contains(ev):
-        raise ValueError("vector outside the chosen subsheaf")
     bounds = [f.max_level(ev) for f in bundle.filtrations]
     return HPolytope(bundle.fan.rays, bounds)
 
@@ -73,8 +67,8 @@ class Parliament:
         return self.entries[index].polytope
 
 
-def parliament(bundle: ToricBundle, seed: int = 0) -> Parliament:
-    sheet = check_compatibility(bundle, seed=seed)
+def parliament(bundle: ToricBundle) -> Parliament:
+    sheet = check_compatibility(bundle)
     gs = bundle_ground_set(bundle)
     entries = tuple(
         ParliamentEntry(index=i, vector=v, polytope=polytope_of(bundle, v))
@@ -115,9 +109,9 @@ def average_polytope(bundle: ToricBundle, f_space: Subspace) -> HPolytope:
     return HPolytope(bundle.fan.rays, bounds)
 
 
-def is_globally_generated(bundle: ToricBundle, seed: int = 0) -> bool:
+def is_globally_generated(bundle: ToricBundle) -> bool:
     """Every associated character lies in the polytope of its basis line."""
-    sheet = check_compatibility(bundle, seed=seed)
+    sheet = check_compatibility(bundle)
     for rows in sheet.rows:
         for row in rows:
             poly = polytope_of(bundle, row.vector)

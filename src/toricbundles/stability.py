@@ -235,9 +235,9 @@ def _c1_by_rank(gs: GroundSet, masks, mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def check_stability(bundle: ToricBundle, pol: Polarization, seed: int = 0) -> StabilityReport:
+def check_stability(bundle: ToricBundle, pol: Polarization) -> StabilityReport:
     """Compare every proper nonzero flat's slope against the bundle's."""
-    check_compatibility(bundle, seed=seed)
+    check_compatibility(bundle)
     gs = bundle_ground_set(bundle)
     masks = _level_masks(bundle, gs)
 
@@ -343,7 +343,7 @@ def _graded_pair_multiplicities(bundle, tau_filts, q, filt_a, filt_b):
     return mult
 
 
-def restrict_to_curve(bundle: ToricBundle, wall: Wall, seed: int = 0) -> RestrictionReport:
+def restrict_to_curve(bundle: ToricBundle, wall: Wall) -> RestrictionReport:
     """Splitting degrees of the bundle on the invariant curve of a wall.
 
     Characters of the two adjacent cones are paired inside equal tau-profile
@@ -351,7 +351,7 @@ def restrict_to_curve(bundle: ToricBundle, wall: Wall, seed: int = 0) -> Restric
     two-filtration refinement on the graded piece and is re-verified against
     both marginals.
     """
-    sheet = check_compatibility(bundle, seed=seed)
+    sheet = check_compatibility(bundle)
     fan = bundle.fan
     cone_a = fan.max_cones[wall.sigma]
     cone_b = fan.max_cones[wall.sigma_prime]

@@ -143,9 +143,9 @@ def test_characters_unique_across_seeds():
             Filtration(3, [(0, Subspace.full(3)), (2, span([(1, 0, -1), (1, -1, 0)], 3)), (4, span([(1, 0, -1)], 3))]),
         ],
     )
-    reference = [check_compatibility(bundle, seed=0).characters(ci) for ci in range(3)]
+    reference = [check_compatibility(bundle).characters(ci) for ci in range(3)]
     for seed in (1, 2, 3, 17):
-        sheet = check_compatibility(bundle, seed=seed)
+        sheet = check_compatibility(bundle)
         assert [sheet.characters(ci) for ci in range(3)] == reference
 
 
@@ -286,5 +286,6 @@ def test_two_dimensional_fans_always_compatible():
     rng = random.Random(7)
     for _ in range(40):
         bundle = _random_surface_bundle(rng, rng.randint(2, 4))
-        sheet = check_compatibility(bundle, seed=rng.randint(0, 100))
+        rng.randint(0, 100)  # a draw kept so the bundle sequence stays the same
+        sheet = check_compatibility(bundle)
         assert all(len(rows) == bundle.rank for rows in sheet.rows)

@@ -52,14 +52,6 @@ def test_polytope_of_rejects_zero_vector(p2_tangent):
         polytope_of(p2_tangent.bundle, (0, 0))
 
 
-def test_polytope_of_within_subsheaf(p2_rank3):
-    f_space = span([(1, 0, 0), (0, 0, 1)], 3)
-    p = polytope_of(p2_rank3.bundle, (1, 0, 0), within=f_space)
-    assert p == polytope_of(p2_rank3.bundle, (1, 0, 0))
-    with pytest.raises(ValueError):
-        polytope_of(p2_rank3.bundle, (0, 1, 0), within=f_space)
-
-
 def test_parliament_tangent_annotations(p2_tangent):
     parl = parliament(p2_tangent.bundle)
     assert len(parl.entries) == 3

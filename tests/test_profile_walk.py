@@ -72,14 +72,14 @@ def test_walk_matches_inclusion_exclusion(bundle):
 
 
 @settings(max_examples=40, deadline=None)
-@given(bundle=flag_bundles(kinds=("p3",)), seed=st.integers(0, 3))
-def test_witnesses_and_characters_match_reference(bundle, seed):
+@given(bundle=flag_bundles(kinds=("p3",)))
+def test_witnesses_and_characters_match_reference(bundle):
     cones = range(len(bundle.fan.max_cones))
 
     def run():
         return (
-            _outcome(lambda: check_compatibility(bundle, seed=seed)),
-            [_outcome(lambda: associated_characters(bundle, ci, seed=seed))
+            _outcome(lambda: check_compatibility(bundle)),
+            [_outcome(lambda: associated_characters(bundle, ci))
              for ci in cones],
         )
 
@@ -114,5 +114,6 @@ def test_compatibility_on_p6_tangent_does_few_intersections(monkeypatch):
     monkeypatch.setattr(bundle_module, "intersect", counting)
     sheet = check_compatibility(tangent_bundle(projective_space(6)))
     assert all(len(rows) == 6 for rows in sheet.rows)
-    # the inclusion-exclusion over 4^6 level tuples per cone made 6,552
-    assert len(calls) < 1000
+    # the inclusion-exclusion over 4^6 level tuples per cone made 6,552, and
+    # a split that re-intersected each profile's next steps made 532
+    assert len(calls) < 300
