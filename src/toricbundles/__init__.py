@@ -8,7 +8,6 @@ from .linalg import (
     solve_integer_system,
     span,
     subspace_sum,
-    sum_contains,
 )
 from .fan import Fan, FanError, FanReport, Wall, validate_fan, walls
 from .bundle import (
@@ -19,8 +18,6 @@ from .bundle import (
     associated_characters,
     check_compatibility,
     direct_sum,
-    filtration_value,
-    jump_values,
     line_bundle,
     tangent_bundle,
     twist_by_character,
@@ -39,7 +36,7 @@ from .matroid import (
     is_subbundle,
     proper_nonzero_flats,
 )
-from .polytopes import HPolytope, is_empty, lattice_points, newton_polytope, vertices
+from .polytopes import HPolytope, newton_polytope
 from .parliament import (
     Parliament,
     average_polytope,

@@ -106,18 +106,16 @@ class Filtration:
         return f"Filtration(rank={self.rank}, {body})"
 
 
-def filtration_value(f: Filtration, j: int) -> Subspace:
-    return f.value(j)
-
-
-def jump_values(f: Filtration, subspace: Subspace) -> tuple[int, ...]:
-    return f.jump_multiset(subspace)
-
-
 class ToricBundle:
-    """A toric vector bundle: validated fan + one filtration per ray."""
+    """A toric vector bundle: validated fan + one filtration per ray.
 
-    __slots__ = ("fan", "rank", "filtrations", "summand_spans")
+    Bundles are immutable, so the data derived from them is computed once
+    and memoized in the private slots: the profile walk of each cone, the
+    compatibility outcome, and the ground set (filled by `matroid`).
+    """
+
+    __slots__ = ("fan", "rank", "filtrations", "summand_spans",
+                 "_walks", "_compatibility", "_ground_set")
 
     def __init__(self, fan: Fan, rank: int, filtrations, summand_spans=None):
         report = validate_fan(fan)
@@ -135,6 +133,9 @@ class ToricBundle:
                 raise ValueError("filtration rank differs from bundle rank")
         self.filtrations = filtrations
         self.summand_spans = tuple(summand_spans) if summand_spans else None
+        self._walks = {}
+        self._compatibility = None
+        self._ground_set = None
 
     def __repr__(self):
         return f"ToricBundle(rank={self.rank}, rays={len(self.fan.rays)})"
@@ -330,21 +331,36 @@ def _verify_split(filts, assignment, rank) -> bool:
     return True
 
 
+def _cone_walk(bundle, cone_index):
+    """(mult, space_at) of one cone, walked once per bundle, or the witness
+    of the cone's first negative multiplicity."""
+    walk = bundle._walks.get(cone_index)
+    if walk is None:
+        cone = bundle.fan.max_cones[cone_index]
+        walk = _profile_multiplicities([bundle.filtrations[i] for i in cone])
+        for p, m in sorted(walk[0].items()):
+            if m < 0:
+                walk = IncompatibilityWitness(
+                    cone_index, cone, p, m,
+                    f"profile {p} has negative multiplicity {m}",
+                )
+                break
+        bundle._walks[cone_index] = walk
+    return walk
+
+
 def _split_cone(bundle, cone_index, prefer=None, flat_dim=None):
     """Compatible basis rows on one cone, or an IncompatibilityWitness.
 
     With flat_dim set, the split is only accepted when exactly flat_dim of
     its lines lie inside `prefer` (the compatible-flat count condition).
     """
+    walk = _cone_walk(bundle, cone_index)
+    if isinstance(walk, IncompatibilityWitness):
+        return walk
+    mult, space_at = walk
     cone = bundle.fan.max_cones[cone_index]
     filts = [bundle.filtrations[i] for i in cone]
-    mult, space_at = _profile_multiplicities(filts)
-    for p, m in sorted(mult.items()):
-        if m < 0:
-            return IncompatibilityWitness(
-                cone_index, cone, p, m,
-                f"profile {p} has negative multiplicity {m}",
-            )
     assignment = _attempt_split(mult, space_at, bundle.rank, prefer)
     if assignment is None:
         reason = "no independent lines left for some profile"
@@ -365,26 +381,28 @@ def _split_cone(bundle, cone_index, prefer=None, flat_dim=None):
 
 
 def check_compatibility(bundle: ToricBundle) -> CharacterSheet:
-    """Decide the compatibility condition; raises IncompatibleBundleError."""
-    all_rows = []
-    for ci in range(len(bundle.fan.max_cones)):
-        res = _split_cone(bundle, ci)
-        if isinstance(res, IncompatibilityWitness):
-            raise IncompatibleBundleError(res)
-        all_rows.append(res)
-    return CharacterSheet(rows=tuple(all_rows))
+    """Decide the compatibility condition, once per bundle; raises
+    IncompatibleBundleError on every call for an incompatible one."""
+    outcome = bundle._compatibility
+    if outcome is None:
+        rows = []
+        for ci in range(len(bundle.fan.max_cones)):
+            outcome = _split_cone(bundle, ci)
+            if isinstance(outcome, IncompatibilityWitness):
+                break
+            rows.append(outcome)
+        else:
+            outcome = CharacterSheet(rows=tuple(rows))
+        bundle._compatibility = outcome
+    if isinstance(outcome, IncompatibilityWitness):
+        raise IncompatibleBundleError(outcome)
+    return outcome
 
 
 def associated_characters(bundle: ToricBundle, cone_index: int) -> tuple[tuple[int, ...], ...]:
-    """The multiset u(sigma), sorted; independent of the realized basis."""
-    cone = bundle.fan.max_cones[cone_index]
-    filts = [bundle.filtrations[i] for i in cone]
-    mult, _ = _profile_multiplicities(filts)
-    bad = [(p, m) for p, m in mult.items() if m < 0]
-    if bad:
-        p, m = sorted(bad)[0]
-        raise IncompatibleBundleError(
-            IncompatibilityWitness(cone_index, cone, p, m,
-                                   f"profile {p} has negative multiplicity {m}")
-        )
+    """The multiset u(sigma), sorted; independent of the realized basis.
+    A negative multiplicity on this cone is reported before any other."""
+    walk = _cone_walk(bundle, cone_index)
+    if isinstance(walk, IncompatibilityWitness):
+        raise IncompatibleBundleError(walk)
     return check_compatibility(bundle).characters(cone_index)

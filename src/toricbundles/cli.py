@@ -20,7 +20,12 @@ from .io import (
     load_document,
     parse_rational,
 )
-from .matroid import _split_flat, bundle_ground_set, enumerate_flats
+from .matroid import (
+    build_lattice,
+    bundle_ground_set,
+    enumerate_flats,
+    is_compatible_flat,
+)
 from .parliament import (
     NotGloballyGeneratedError,
     is_globally_generated,
@@ -92,14 +97,11 @@ def _build_parser():
 
 
 def _trace(doc):
-    from .matroid import build_lattice, ground_set
-
     out = sys.stderr
-    lat = build_lattice(doc.bundle)
     print("subspace lattice:", file=out)
-    for w in lat.elements:
+    for w in build_lattice(doc.bundle).elements:
         print(f"  dim {w.dim}: {w!r}", file=out)
-    gs = ground_set(lat)
+    gs = bundle_ground_set(doc.bundle)
     print("ground-set trace:", file=out)
     for i, (v, step) in enumerate(zip(gs.vectors, gs.steps)):
         print(f"  e{i} = {tuple(str(x) for x in v)} appended at {step!r}", file=out)
@@ -253,11 +255,10 @@ def _cmd_flats(args, doc, out):
     gs = bundle_ground_set(doc.bundle)
     flats = enumerate_flats(gs)
     full_rank = doc.bundle.rank
-    sheet = check_compatibility(doc.bundle)
     payload_flats = []
     for flat in flats:
         trivial = flat.rank == 0 or flat.rank == full_rank
-        compatible, _ = _split_flat(doc.bundle, flat, sheet)
+        compatible, _ = is_compatible_flat(doc.bundle, flat)
         payload_flats.append(
             {
                 "indices": list(flat.indices),

@@ -166,10 +166,6 @@ def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
     return span(u.rows + v.rows, u.ambient)
 
 
-def sum_contains(u: Subspace, v: Subspace, w: Sequence) -> bool:
-    return subspace_sum(u, v).contains(w)
-
-
 def nullspace(rows: Iterable[Sequence], width: int) -> list[Vector]:
     """Rational basis of {x : M x = 0} for the matrix with the given rows."""
     red = _rref(rows, width)

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, total_ordering
 
 from .bundle import (
-    CharacterSheet,
     IncompatibilityWitness,
     ToricBundle,
     _split_cone,
@@ -95,12 +94,14 @@ class GroundSet:
     def indices_in(self, w: Subspace) -> tuple[int, ...]:
         return tuple(i for i, v in enumerate(self.vectors) if w.contains(v))
 
+    @cached_property
+    def _lines(self) -> dict[Subspace, int]:
+        return {span([g], self.ambient): i for i, g in enumerate(self.vectors)}
+
     def index_of_line(self, v) -> int | None:
-        line = span([v], self.ambient)
-        for i, g in enumerate(self.vectors):
-            if span([g], self.ambient) == line:
-                return i
-        return None
+        """The element spanning the line of v; the sweep never appends two
+        parallel vectors."""
+        return self._lines.get(span([v], self.ambient))
 
 
 def ground_set(
@@ -143,7 +144,13 @@ def ground_set(
 
 
 def bundle_ground_set(bundle: ToricBundle, prefer: Subspace | None = None) -> GroundSet:
-    return ground_set(build_lattice(bundle), prefer=prefer)
+    """The bundle's ground set, swept once per bundle; a preferred one is
+    swept on every call."""
+    if prefer is not None:
+        return ground_set(build_lattice(bundle), prefer=prefer)
+    if bundle._ground_set is None:
+        bundle._ground_set = ground_set(build_lattice(bundle))
+    return bundle._ground_set
 
 
 def _mask(indices) -> int:
@@ -251,11 +258,7 @@ def is_compatible_flat(bundle: ToricBundle, flat: Flat):
 
     The bundle itself must be compatible (raises otherwise).
     """
-    return _split_flat(bundle, flat, check_compatibility(bundle))
-
-
-def _split_flat(bundle: ToricBundle, flat: Flat, sheet: CharacterSheet):
-    """is_compatible_flat for a bundle whose compatibility sheet is known."""
+    sheet = check_compatibility(bundle)
     if flat.rank == 0 or flat.rank == bundle.rank:
         return True, sheet.rows
     f_space = flat.subspace

@@ -13,15 +13,14 @@ from fractions import Fraction
 
 from .bundle import Filtration, ToricBundle, check_compatibility
 from .fan import Fan
-from .linalg import Subspace, Vector, span
+from .linalg import Subspace, Vector, is_zero_vector, span, vector
 from .matroid import GroundSet, bundle_ground_set, closure
 from .polytopes import HPolytope
+from .stability import c1
 
 
 def polytope_of(bundle: ToricBundle, e) -> HPolytope:
     """Polytope of a nonzero fiber vector: bound max{j : e in E^i(j)} per ray."""
-    from .linalg import is_zero_vector, vector
-
     ev = vector(e, bundle.rank)
     if is_zero_vector(ev):
         raise ValueError("the zero vector has no parliament polytope")
@@ -75,14 +74,12 @@ def parliament(bundle: ToricBundle) -> Parliament:
         for i, v in enumerate(gs.vectors)
     )
     marks = []
-    line_lookup = {
-        span([v], gs.ambient): i for i, v in enumerate(gs.vectors)
-    }
     for ci, rows in enumerate(sheet.rows):
         for row in rows:
-            line = span([row.vector], gs.ambient)
-            entry = line_lookup.get(line)
-            flat = None if entry is not None else closure(gs, gs.indices_in(line)).indices
+            entry = gs.index_of_line(row.vector)
+            flat = None if entry is not None else closure(
+                gs, gs.indices_in(span([row.vector], gs.ambient))
+            ).indices
             marks.append(
                 CharacterMark(
                     cone_index=ci,
@@ -98,15 +95,9 @@ def parliament(bundle: ToricBundle) -> Parliament:
 def average_polytope(bundle: ToricBundle, f_space: Subspace) -> HPolytope:
     """Polytope of c_1(F) divided by rank(F); comparison-ready modulo
     translation through the weighted-support order."""
-    if f_space.dim == 0:
-        raise ValueError("average polytope of the zero subsheaf is undefined")
-    if f_space.ambient != bundle.rank:
-        raise ValueError("subspace from a different fiber")
-    bounds = [
-        Fraction(sum(f.jump_multiset(f_space)), f_space.dim)
-        for f in bundle.filtrations
-    ]
-    return HPolytope(bundle.fan.rays, bounds)
+    return HPolytope(
+        bundle.fan.rays, [Fraction(a, f_space.dim) for a in c1(bundle, f_space)]
+    )
 
 
 def is_globally_generated(bundle: ToricBundle) -> bool:

@@ -85,18 +85,6 @@ class HPolytope:
         return f"HPolytope({body})"
 
 
-def vertices(p: HPolytope) -> tuple[Vector, ...]:
-    return p.vertices()
-
-
-def lattice_points(p: HPolytope) -> tuple[tuple[int, ...], ...]:
-    return p.lattice_points()
-
-
-def is_empty(p: HPolytope) -> bool:
-    return p.is_empty()
-
-
 def newton_polytope(fan: Fan, coefficients) -> HPolytope:
     """Polytope of a divisor sum a_i D_i: bounds c_i = a_i."""
     coeffs = [Fraction(a) for a in coefficients]

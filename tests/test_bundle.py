@@ -10,8 +10,6 @@ from toricbundles.bundle import (
     associated_characters,
     check_compatibility,
     direct_sum,
-    filtration_value,
-    jump_values,
     line_bundle,
     tangent_bundle,
     twist_by_character,
@@ -36,10 +34,10 @@ def tangent_filtration(ray):
 
 def test_filtration_value_steps():
     f = tangent_filtration((1, 0))
-    assert filtration_value(f, 0).is_full()
-    assert filtration_value(f, -5).is_full()
-    assert filtration_value(f, 1) == span([(1, 0)], 2)
-    assert filtration_value(f, 2).is_zero()
+    assert f.value(0).is_full()
+    assert f.value(-5).is_full()
+    assert f.value(1) == span([(1, 0)], 2)
+    assert f.value(2).is_zero()
 
 
 def test_filtration_invariants_enforced():
@@ -55,9 +53,9 @@ def test_filtration_invariants_enforced():
 
 def test_jump_values():
     f = tangent_filtration((1, 0))
-    assert jump_values(f, span([(1, 0)], 2)) == (1,)
-    assert jump_values(f, span([(0, 1)], 2)) == (0,)
-    assert jump_values(f, Subspace.full(2)) == (0, 1)
+    assert f.jump_multiset(span([(1, 0)], 2)) == (1,)
+    assert f.jump_multiset(span([(0, 1)], 2)) == (0,)
+    assert f.jump_multiset(Subspace.full(2)) == (0, 1)
 
 
 def test_tangent_p2_characters():
@@ -156,7 +154,7 @@ def test_per_ray_marginal_consistency():
         for k, ray_index in enumerate(cone):
             filt = bundle.filtrations[ray_index]
             marginal = sorted(r.profile[k] for r in sheet.rows[ci])
-            assert tuple(marginal) == jump_values(filt, Subspace.full(bundle.rank))
+            assert tuple(marginal) == filt.jump_multiset(Subspace.full(bundle.rank))
 
 
 def test_associated_characters_examples():

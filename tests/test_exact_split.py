@@ -20,6 +20,7 @@ from toricbundles.bundle import (
     ToricBundle,
     _profile_multiplicities,
     _split_cone,
+    associated_characters,
     check_compatibility,
 )
 from toricbundles.io import parse_document
@@ -104,6 +105,21 @@ def test_incompatible_without_negative_multiplicity_is_exact(tmp_path):
     path.write_text(json.dumps(THREE_LINES_IN_A_PLANE))
     code, _, _ = run_cli(["validate", path])
     assert code == 2
+
+
+def test_incompatible_verdict_is_remembered_with_its_witness():
+    bundle = parse_document(json.dumps(THREE_LINES_IN_A_PLANE)).bundle
+    errors = []
+    for ask in [lambda: check_compatibility(bundle)] * 2 + [
+        lambda ci=ci: associated_characters(bundle, ci)
+        for ci in range(len(bundle.fan.max_cones))
+    ]:
+        with pytest.raises(IncompatibleBundleError) as err:
+            ask()
+        errors.append(err.value)
+    assert errors[0].witness.cone == (0, 1, 3)
+    assert all(e.witness == errors[0].witness for e in errors)
+    assert len({id(e) for e in errors}) == len(errors)
 
 
 def _without_seed(text):

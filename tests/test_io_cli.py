@@ -174,23 +174,53 @@ def test_cli_parliament_svg_with_wall_overlay(tmp_path):
     assert 'class="seg"' in svg_path.read_text()
 
 
-def test_cli_flats(documents, monkeypatch):
-    from toricbundles import cli, matroid
-
+def _record_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper that appends each call's arguments."""
     calls = []
-    original = cli.check_compatibility
+    original = getattr(module, name)
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(cli, "check_compatibility", counting)
-    monkeypatch.setattr(matroid, "check_compatibility", counting)
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+def _cone_walks(monkeypatch):
+    from toricbundles import bundle
+
+    return _record_calls(monkeypatch, bundle, "_profile_multiplicities")
+
+
+def test_cli_flats(documents, monkeypatch):
+    walks = _cone_walks(monkeypatch)
     code, out, _ = run_cli(["flats", fixture_path("p2_tangent")])
     assert code == 0
     assert out.count("not compatible") == 3
-    # whole-bundle compatibility is decided once, not once per flat
-    assert len(calls) == 1
+    # each cone is walked once per bundle, not once per flat
+    assert len(walks) == len({tuple(filts) for (filts,) in walks}) == 3
+
+
+def test_cli_flats_walks_each_cone_of_p3_once(monkeypatch):
+    walks = _cone_walks(monkeypatch)
+    code, _, _ = run_cli(["flats", fixture_path("p3_tangent")])
+    assert code == 0
+    assert len(walks) == 4
+
+
+def test_cli_parliament_with_wall_reuses_the_bundle_analysis(tmp_path, monkeypatch):
+    from toricbundles import matroid
+
+    walks = _cone_walks(monkeypatch)
+    lattices = _record_calls(monkeypatch, matroid, "build_lattice")
+    code, _, _ = run_cli(["parliament", fixture_path("p2_tangent"),
+                          "--svg", tmp_path / "p2.svg", "--wall", 0])
+    assert code == 0
+    # parliament, the global-generation check and the wall restriction
+    # share one compatibility split and one ground set
+    assert len(walks) == 3
+    assert len(lattices) == 1
 
 
 def test_cli_reconstruct():

@@ -14,7 +14,6 @@ from toricbundles.linalg import (
     solve_integer_system,
     span,
     subspace_sum,
-    sum_contains,
 )
 
 
@@ -70,7 +69,7 @@ def test_intersect_coordinate_planes():
 
 def test_sum_and_membership():
     assert subspace_sum(span([(1, 0)], 2), span([(0, 1)], 2)).is_full()
-    assert not sum_contains(span([(1, 0)], 2), Subspace.zero(2), (0, 1))
+    assert not subspace_sum(span([(1, 0)], 2), Subspace.zero(2)).contains((0, 1))
     two = [[1, 1], [1, -1]]
     assert len(span(two, 2).rows) == 2  # rank of the 2x2 matrix is 2
     assert subspace_sum(span([two[0]], 2), span([two[1]], 2)).is_full()

@@ -85,7 +85,7 @@ def test_parliament_rank1_is_newton_polytope():
 def test_hyperplane_usage_once_per_cone(documents):
     # per cone and ray, the multiset of jump levels used by the characters
     # equals the filtration's full jump multiset
-    from toricbundles.bundle import check_compatibility, jump_values
+    from toricbundles.bundle import check_compatibility
 
     for name in ("p2_tangent", "p2_rank3", "blp2_sum", "p3_tangent"):
         bundle = documents[name].bundle
@@ -93,8 +93,8 @@ def test_hyperplane_usage_once_per_cone(documents):
         for ci, cone in enumerate(bundle.fan.max_cones):
             for k, ray_index in enumerate(cone):
                 used = tuple(sorted(r.profile[k] for r in sheet.rows[ci]))
-                expected = jump_values(
-                    bundle.filtrations[ray_index], Subspace.full(bundle.rank)
+                expected = bundle.filtrations[ray_index].jump_multiset(
+                    Subspace.full(bundle.rank)
                 )
                 assert used == expected
 

@@ -76,18 +76,18 @@ def test_walk_matches_inclusion_exclusion(bundle):
 def test_witnesses_and_characters_match_reference(bundle):
     cones = range(len(bundle.fan.max_cones))
 
-    def run():
+    def run(b):
         return (
-            _outcome(lambda: check_compatibility(bundle)),
-            [_outcome(lambda: associated_characters(bundle, ci))
-             for ci in cones],
+            _outcome(lambda: check_compatibility(b)),
+            [_outcome(lambda: associated_characters(b, ci)) for ci in cones],
         )
 
-    got = run()
+    got = run(bundle)
     original = bundle_module._profile_multiplicities
     bundle_module._profile_multiplicities = reference_multiplicities
     try:
-        assert got == run()
+        # a fresh bundle: the first one holds its walks in its memo
+        assert got == run(ToricBundle(bundle.fan, bundle.rank, bundle.filtrations))
     finally:
         bundle_module._profile_multiplicities = original
 
