@@ -111,11 +111,12 @@ class ToricBundle:
 
     Bundles are immutable, so the data derived from them is computed once
     and memoized in the private slots: the profile walk of each cone, the
-    compatibility outcome, and the ground set (filled by `matroid`).
+    compatibility outcome, the ground set (filled by `matroid`) and the
+    slope table (filled by `stability`).
     """
 
     __slots__ = ("fan", "rank", "filtrations", "summand_spans",
-                 "_walks", "_compatibility", "_ground_set")
+                 "_walks", "_compatibility", "_ground_set", "_slopes")
 
     def __init__(self, fan: Fan, rank: int, filtrations, summand_spans=None):
         report = validate_fan(fan)
@@ -136,6 +137,7 @@ class ToricBundle:
         self._walks = {}
         self._compatibility = None
         self._ground_set = None
+        self._slopes = None
 
     def __repr__(self):
         return f"ToricBundle(rank={self.rank}, rays={len(self.fan.rays)})"

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .linalg import det, integer_kernel_basis, is_primitive, matrix_rank, nullspace, dot
+from .linalg import det, integer_kernel_basis, integer_rank, is_primitive, nullspace, dot
 
 
 class FanError(ValueError):
@@ -119,7 +119,7 @@ class FanReport:
 def positively_spans(vectors, dim) -> bool:
     """Exact test that the vectors positively span R^dim (dual cone = 0)."""
     vecs = [tuple(int(x) for x in v) for v in vectors]
-    if matrix_rank(vecs, dim) < dim:
+    if integer_rank(vecs) < dim:
         return False
     # a nonzero dual vector exists iff one lies on an extreme ray cut out by
     # dim-1 of the constraints

@@ -100,29 +100,14 @@ def _expect_int(value, path, errors) -> int | None:
     return value
 
 
-def _parse_int_vector(value, path, errors, length=None):
+def _parse_vector(value, path, errors, parse, length=None):
+    """A list of elements read by `parse` (`_expect_int` or `parse_rational`)."""
     lst = _expect_list(value, path, errors)
     if lst is None:
         return None
     out = []
     for i, x in enumerate(lst):
-        v = _expect_int(x, f"{path}[{i}]", errors)
-        if v is None:
-            return None
-        out.append(v)
-    if length is not None and len(out) != length:
-        errors.append((path, f"expected length {length}, got {len(out)}"))
-        return None
-    return tuple(out)
-
-
-def _parse_rational_vector(value, path, errors, length=None):
-    lst = _expect_list(value, path, errors)
-    if lst is None:
-        return None
-    out = []
-    for i, x in enumerate(lst):
-        v = parse_rational(x, f"{path}[{i}]", errors)
+        v = parse(x, f"{path}[{i}]", errors)
         if v is None:
             return None
         out.append(v)
@@ -140,7 +125,7 @@ def _parse_space(value, path, errors, rank) -> Subspace | None:
         return None
     rows = []
     for i, row in enumerate(lst):
-        v = _parse_rational_vector(row, f"{path}[{i}]", errors, length=rank)
+        v = _parse_vector(row, f"{path}[{i}]", errors, parse_rational, length=rank)
         if v is None:
             return None
         rows.append(v)
@@ -169,14 +154,15 @@ def parse_document(text: str) -> BundleDocument:
         rays_raw = _expect_list(fan_block.get("rays"), "$.fan.rays", errors)
         if rays_raw is not None and dim is not None:
             for i, r in enumerate(rays_raw):
-                v = _parse_int_vector(r, f"$.fan.rays[{i}]", errors, length=dim)
+                v = _parse_vector(r, f"$.fan.rays[{i}]", errors, _expect_int, length=dim)
                 if v is not None:
                     rays.append(v)
         cones = []
         cones_raw = _expect_list(fan_block.get("max_cones"), "$.fan.max_cones", errors)
         if cones_raw is not None and dim is not None:
             for i, c in enumerate(cones_raw):
-                v = _parse_int_vector(c, f"$.fan.max_cones[{i}]", errors, length=dim)
+                v = _parse_vector(c, f"$.fan.max_cones[{i}]", errors, _expect_int,
+                                  length=dim)
                 if v is not None:
                     cones.append(v)
         if not errors:
@@ -239,14 +225,14 @@ def parse_document(text: str) -> BundleDocument:
             if "weights" in pol_block and "divisor" in pol_block:
                 errors.append(("$.polarization", "give either weights or divisor, not both"))
             elif "weights" in pol_block and fan is not None:
-                weights = _parse_rational_vector(
+                weights = _parse_vector(
                     pol_block["weights"], "$.polarization.weights", errors,
-                    length=len(fan.rays),
+                    parse_rational, length=len(fan.rays),
                 )
             elif "divisor" in pol_block and fan is not None:
-                divisor = _parse_rational_vector(
+                divisor = _parse_vector(
                     pol_block["divisor"], "$.polarization.divisor", errors,
-                    length=len(fan.rays),
+                    parse_rational, length=len(fan.rays),
                 )
             elif fan is not None:
                 errors.append(("$.polarization", "needs weights or divisor"))

@@ -209,15 +209,16 @@ def intersect(u: Subspace, v: Subspace) -> Subspace:
     return span(vecs, d)
 
 
-def matrix_rank(rows: Iterable[Sequence], width: int) -> int:
-    return len(_rref(rows, width))
-
-
 def integer_row(v: Sequence) -> tuple[int, ...]:
     """A rational vector times the lcm of its denominators: same line, ints."""
     v = vector(v)
     scale = lcm(*(x.denominator for x in v))
     return tuple(int(x * scale) for x in v)
+
+
+def matrix_rank(rows: Iterable[Sequence]) -> int:
+    """Rank of a rational matrix: `integer_rank` of its integer rows."""
+    return integer_rank(integer_row(r) for r in rows)
 
 
 def integer_rank(rows: Iterable[Sequence[int]]) -> int:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .fan import Fan
-from .linalg import Vector, dot, matrix_rank, solve_rational_system
+from .linalg import Vector, dot, integer_rank, solve_rational_system
 
 
 class HPolytope:
@@ -41,7 +41,7 @@ class HPolytope:
             seen = set()
             for sub in combinations(range(len(self.rays)), d):
                 rows = [self.rays[i] for i in sub]
-                if matrix_rank(rows, d) < d:
+                if integer_rank(rows) < d:
                     continue
                 pt = solve_rational_system(rows, [self.bounds[i] for i in sub])
                 if pt is not None and self.contains(pt):

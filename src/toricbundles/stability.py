@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 
 from .bundle import ToricBundle, check_compatibility
 from .fan import Fan, FanError, Wall, positively_spans, wall_normal
@@ -24,7 +25,7 @@ from .linalg import (
     vec_sub,
     vector,
 )
-from .matroid import Flat, GroundSet, bundle_ground_set, proper_nonzero_flats
+from .matroid import Flat, _mask, bundle_ground_set, proper_nonzero_flats
 from .polytopes import HPolytope, newton_polytope
 
 
@@ -133,7 +134,7 @@ def weights_from_divisor(fan: Fan, coefficients) -> Polarization:
         raise PolarizationError("divisor polytope is empty; weights undefined")
     base = verts[0]
     diffs = [vec_sub(vector(p), vector(base)) for p in verts[1:]]
-    if matrix_rank(diffs, fan.dim) < fan.dim:
+    if matrix_rank(diffs) < fan.dim:
         raise PolarizationError(
             "divisor polytope is lower-dimensional; weights undefined"
         )
@@ -209,46 +210,50 @@ class StabilityReport:
     witness_slope: Fraction | None
 
 
-def _level_masks(bundle: ToricBundle, gs: GroundSet):
-    """Per ray, (threshold, mask of the ground vectors in E(threshold)) for
-    every step. The sweep spans each filtration value by the ground vectors
-    inside it, so E^i(j) meets the ground set in {e : level_i(e) >= j}."""
-    out = []
-    for filt in bundle.filtrations:
-        levels = [filt.max_level(v) for v in gs.vectors]
-        out.append([
-            (a, sum(1 << e for e, lv in enumerate(levels) if lv >= a))
-            for a in filt.thresholds
-        ])
-    return out
+def _slope_table(bundle: ToricBundle):
+    """(c1(E), ((flat, c1(F)) for every proper nonzero flat F)), computed once
+    per bundle from ranks alone and kept on it.
 
-
-def _c1_by_rank(gs: GroundSet, masks, mask: int) -> tuple[int, ...]:
-    """c_1 of the subsheaf spanned by a ground-set mask F, from ranks alone:
-    dim(E^i(j) n F) = r(E^i(j)) + r(F) - r(E^i(j) u F)."""
-    rank = gs.rank
-    r_f = rank(mask)
-    out = []
-    for steps in masks:
-        dims = [rank(m) + r_f - rank(m | mask) for _, m in steps] + [0]
-        out.append(sum(a * (d - d_next) for (a, _), d, d_next in zip(steps, dims, dims[1:])))
-    return tuple(out)
+    The sweep spans each filtration value by the ground vectors inside it, so
+    E^i(j) meets the ground set in the level mask {e : level_i(e) >= j}, and
+    dim(E^i(j) n F) = r(E^i(j)) + r(F) - r(E^i(j) u F).
+    """
+    if bundle._slopes is None:
+        gs = bundle_ground_set(bundle)
+        rank = gs.rank
+        level_masks = []
+        for filt in bundle.filtrations:
+            levels = [filt.max_level(v) for v in gs.vectors]
+            level_masks.append([
+                (a, sum(1 << e for e, lv in enumerate(levels) if lv >= a))
+                for a in filt.thresholds
+            ])
+        flats = proper_nonzero_flats(gs)
+        c1s = []
+        for mask in [(1 << len(gs)) - 1] + [_mask(f.indices) for f in flats]:
+            r_f = rank(mask)
+            coeffs = []
+            for steps in level_masks:
+                dims = [rank(m) + r_f - rank(m | mask) for _, m in steps] + [0]
+                coeffs.append(sum(
+                    a * (d - d_next) for (a, _), d, d_next in zip(steps, dims, dims[1:])
+                ))
+            c1s.append(tuple(coeffs))
+        bundle._slopes = (c1s[0], tuple(zip(flats, c1s[1:])))
+    return bundle._slopes
 
 
 def check_stability(bundle: ToricBundle, pol: Polarization) -> StabilityReport:
-    """Compare every proper nonzero flat's slope against the bundle's."""
+    """Compare every proper nonzero flat's slope against the bundle's: one
+    integer dot product per flat, with the weights over a common denominator."""
     check_compatibility(bundle)
-    gs = bundle_ground_set(bundle)
-    masks = _level_masks(bundle, gs)
-
-    def slope_of(mask: int, dim: int) -> Fraction:
-        coeffs = _c1_by_rank(gs, masks, mask)
-        return sum((a * t for a, t in zip(coeffs, pol.weights)), Fraction(0)) / dim
-
-    mu = slope_of((1 << len(gs)) - 1, bundle.rank)
+    c1_e, table = _slope_table(bundle)
+    den = lcm(*(t.denominator for t in pol.weights))
+    t = [int(x * den) for x in pol.weights]
+    mu = Fraction(sum(a * b for a, b in zip(c1_e, t)), den * bundle.rank)
     rows = []
-    for flat in proper_nonzero_flats(gs):
-        s = slope_of(sum(1 << e for e in flat.indices), flat.rank)
+    for flat, coeffs in table:
+        s = Fraction(sum(a * b for a, b in zip(coeffs, t)), den * flat.rank)
         rel = Order.LESS if s < mu else (Order.EQUAL if s == mu else Order.GREATER)
         rows.append(FlatSlope(flat=flat, slope=s, relation=rel))
     stable = all(r.relation is Order.LESS for r in rows)

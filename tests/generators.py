@@ -1,8 +1,9 @@
 """Small complete fans and a flag helper shared by the randomized tests."""
 from itertools import combinations
 
+from subspace_reference import matrix_rank
+
 from toricbundles.fan import Fan
-from toricbundles.linalg import matrix_rank
 
 HEXAGON_RAYS = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
 

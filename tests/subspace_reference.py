@@ -5,7 +5,8 @@ ground-set bitmasks, and profile multiplicities from finite differences over
 a zero-pruned intersection walk. These are the earlier routes through
 `Subspace.contains`, `intersect`, `Fraction` echelon forms and inclusion-
 exclusion over every level tuple, which the differential tests compare
-against, plus the seeded random-subspace slope probe.
+against, plus the seeded random-subspace slope probe and the `Fraction`
+echelon rank that `integer_rank` is checked against.
 """
 from __future__ import annotations
 
@@ -13,9 +14,14 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from toricbundles.linalg import Subspace, intersect, span
+from toricbundles.linalg import Subspace, _rref, intersect, span
 from toricbundles.matroid import bundle_ground_set
 from toricbundles.stability import Order, slope
+
+
+def matrix_rank(rows, width):
+    """Rank as the number of rows of the `Fraction` reduced echelon form."""
+    return len(_rref(rows, width))
 
 
 def closure(gs, subset):

@@ -11,6 +11,7 @@ from conftest import FIXTURE_NAMES, fixture_path
 from generators import projective_space
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from subspace_reference import matrix_rank
 from test_io_cli import run_cli
 
 from toricbundles.bundle import (
@@ -24,7 +25,8 @@ from toricbundles.bundle import (
     check_compatibility,
 )
 from toricbundles.io import parse_document
-from toricbundles.linalg import matrix_rank, span
+from toricbundles.linalg import span
+from toricbundles.stability import check_stability, validate_polarization
 
 
 @st.composite
@@ -120,6 +122,15 @@ def test_incompatible_verdict_is_remembered_with_its_witness():
     assert errors[0].witness.cone == (0, 1, 3)
     assert all(e.witness == errors[0].witness for e in errors)
     assert len({id(e) for e in errors}) == len(errors)
+
+
+def test_incompatible_bundle_builds_no_slope_table():
+    bundle = parse_document(json.dumps(THREE_LINES_IN_A_PLANE)).bundle
+    pol = validate_polarization(bundle.fan, (1, 1, 1, 1))
+    for _ in range(2):
+        with pytest.raises(IncompatibleBundleError):
+            check_stability(bundle, pol)
+    assert bundle._slopes is None
 
 
 def _without_seed(text):

@@ -48,6 +48,39 @@ def test_parse_rejects_floats():
         parse_document(json.dumps(raw))
 
 
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def edit(raw):
+        for step in path:
+            raw = raw[step]
+        raw[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, errors", [
+    (_set("fan", "rays", 1, [1, "0"]),
+     [("$.fan.rays[1][1]", "expected an integer, got str")]),
+    (_set("fan", "max_cones", 2, [1, True]),
+     [("$.fan.max_cones[2][1]", "expected an integer, got bool")]),
+    (_set("polarization", "weights", [1, 1.0, 1]),
+     [("$.polarization.weights[1]", 'floating point numbers are not accepted; use "p/q"')]),
+    (_set("fan", "rays", 0, [-1, -1, 0]),
+     [("$.fan.rays[0]", "expected length 2, got 3")]),
+    (_set("polarization", "weights", [1, 1]),
+     [("$.polarization.weights", "expected length 3, got 2")]),
+    (_set("bundle", "filtrations", 1, "steps", 1, "space", [[1, 0, 0]]),
+     [("$.bundle.filtrations[1].steps[1].space[0]", "expected length 2, got 3")]),
+], ids=["str-in-ray", "bool-in-cone", "float-in-weights", "ray-length", "weights-length",
+        "space-row-length"])
+def test_parse_vector_errors(edit, errors):
+    raw = json.loads(fixture_path("p2_tangent").read_text())
+    edit(raw)
+    with pytest.raises(SchemaError) as err:
+        parse_document(json.dumps(raw))
+    assert err.value.errors == errors
+
+
 def test_parse_rejects_non_increasing_thresholds():
     raw = json.loads(fixture_path("p2_tangent").read_text())
     steps = raw["bundle"]["filtrations"][0]["steps"]

@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 from itertools import product
 
+from subspace_reference import matrix_rank
 
 from toricbundles.fan import Fan
-from toricbundles.linalg import dot, matrix_rank
+from toricbundles.linalg import dot
 from toricbundles.polytopes import HPolytope, newton_polytope
 
 P2_FAN = Fan(2, [(-1, -1), (1, 0), (0, 1)], [(0, 1), (0, 2), (1, 2)])

@@ -2,6 +2,8 @@
 `subspace_reference.py`: flats, closures, slopes and verdicts must agree
 exactly, and flat enumeration must not fall back to Fraction algebra."""
 import sys
+from fractions import Fraction
+from functools import partial
 
 from generators import hexagon, hirzebruch, independent_prefix, projective_space
 from hypothesis import given, settings
@@ -9,22 +11,24 @@ from hypothesis import strategies as st
 from subspace_reference import check_stability as reference_check_stability
 from subspace_reference import closure as reference_closure
 from subspace_reference import enumerate_flats as reference_flats
+from subspace_reference import matrix_rank as reference_rank
 
-from toricbundles import linalg
+from toricbundles import linalg, matroid
 from toricbundles.bundle import Filtration, ToricBundle, direct_sum, tangent_bundle
-from toricbundles.linalg import Subspace, integer_rank, integer_row, matrix_rank, span
+from toricbundles.linalg import Subspace, integer_rank, integer_row, span
 from toricbundles.matroid import (
+    GroundSet,
     bundle_ground_set,
     closure,
     enumerate_flats,
     proper_nonzero_flats,
 )
 from toricbundles.stability import (
-    _c1_by_rank,
-    _level_masks,
+    _slope_table,
     c1,
     check_stability,
     validate_polarization,
+    weights_from_divisor,
 )
 
 
@@ -118,11 +122,12 @@ def test_preference_ground_set_matches_reference(case, data):
     _assert_same_flats(gs)
     inside = gs.indices_in(f_space)
     assert closure(gs, inside).indices == reference_closure(gs, inside)[0]
-    masks = _level_masks(bundle, gs)
-    for flat in enumerate_flats(gs):
-        if flat.rank:
-            mask = sum(1 << e for e in flat.indices)
-            assert _c1_by_rank(gs, masks, mask) == c1(bundle, flat.subspace)
+    # slopes are only taken on the bundle's own ground set
+    c1_e, table = _slope_table(bundle)
+    assert c1_e == c1(bundle)
+    for flat, coeffs in table:
+        assert flat.ground_set is bundle_ground_set(bundle)
+        assert coeffs == c1(bundle, flat.subspace)
 
 
 @settings(max_examples=100, deadline=None)
@@ -130,12 +135,12 @@ def test_preference_ground_set_matches_reference(case, data):
     st.lists(st.integers(-4, 4), min_size=w, max_size=w), max_size=7)))
 def test_integer_rank_matches_fraction_rank(rows):
     width = len(rows[0]) if rows else 1
-    assert integer_rank(rows) == matrix_rank(rows, width)
+    assert integer_rank(rows) == reference_rank(rows, width)
+    scaled = [[Fraction(x, i + 2) for x in row] for i, row in enumerate(rows)]
+    assert linalg.matrix_rank(scaled) == reference_rank(rows, width)
 
 
 def test_integer_row_clears_denominators():
-    from fractions import Fraction
-
     assert integer_row((Fraction(1, 2), Fraction(-2, 3), 0)) == (3, -4, 0)
     assert integer_row((2, 4)) == (2, 4)
 
@@ -148,16 +153,18 @@ def test_rank_memo_belongs_to_the_ground_set():
     assert a._ranks is not b._ranks and (1 << len(b)) - 1 not in a._ranks
 
 
+def _counting(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def test_flat_enumeration_does_no_subspace_algebra(monkeypatch):
     fan = projective_space(3, range(4))
     gs = bundle_ground_set(direct_sum(tangent_bundle(fan), tangent_bundle(fan)))
     calls = {"span": 0, "intersect": 0, "contains": 0}
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    counting = partial(_counting, calls)
 
     # the package binds names with `from .linalg import ...`, so replace the
     # function in every toricbundles namespace that holds it
@@ -175,3 +182,71 @@ def test_flat_enumeration_does_no_subspace_algebra(monkeypatch):
     assert calls == {"span": 0, "intersect": 0, "contains": 0}
     assert len(proper_nonzero_flats(gs)) == 142
     assert len(flats) == 144
+
+
+def _report_fields(report):
+    witness = report.witness
+    return (
+        report.mu, report.stable, report.semistable,
+        [(fs.flat.indices, fs.flat.rank, fs.slope, fs.relation)
+         for fs in report.flat_slopes],
+        witness and (witness.indices, witness.rank), report.witness_slope,
+    )
+
+
+def _assert_reused_bundle_matches(bundle, pols):
+    """Each report on the reused bundle equals the report on a fresh copy
+    of it and the subspace reference."""
+    for pol in pols:
+        report = check_stability(bundle, pol)
+        fresh = ToricBundle(bundle.fan, bundle.rank, bundle.filtrations)
+        assert _report_fields(report) == _report_fields(check_stability(fresh, pol))
+        _assert_same_report(bundle, pol)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=flag_bundles(), data=st.data())
+def test_slope_table_serves_every_polarization(case, data):
+    bundle, pol, _ = case
+    thirds = validate_polarization(bundle.fan, [t / 3 for t in pol.weights])
+    divisor = data.draw(st.lists(
+        st.fractions(Fraction(1, 3), 3, max_denominator=3),
+        min_size=len(bundle.fan.rays), max_size=len(bundle.fan.rays),
+    ))
+    from_divisor = weights_from_divisor(bundle.fan, divisor)
+    mixed = validate_polarization(
+        bundle.fan, [a + b for a, b in zip(thirds.weights, from_divisor.weights)]
+    )
+    _assert_reused_bundle_matches(bundle, [pol, thirds, from_divisor, mixed, pol])
+
+
+def test_slope_table_on_the_semistable_boundary():
+    fan = projective_space(3)
+    bundle = direct_sum(tangent_bundle(fan), tangent_bundle(fan))
+    unit = validate_polarization(fan, (1, 1, 1, 1))
+    third = validate_polarization(fan, (Fraction(1, 3),) * 4)
+    _assert_reused_bundle_matches(bundle, [unit, third, unit])
+    for pol in (unit, third):
+        report = check_stability(bundle, pol)
+        assert report.semistable and not report.stable
+        assert report.mu == Fraction(4, 3) * pol.weights[0]
+
+
+def test_second_polarization_reads_the_slope_table(monkeypatch):
+    fan = projective_space(3)
+    bundle = direct_sum(tangent_bundle(fan), tangent_bundle(fan))
+    first = check_stability(bundle, validate_polarization(fan, (1, 1, 1, 1)))
+    calls = {"rank": 0, "enumerate_flats": 0, "max_level": 0}
+    counting = partial(_counting, calls)
+
+    monkeypatch.setattr(GroundSet, "rank", counting("rank", GroundSet.rank))
+    monkeypatch.setattr(Filtration, "max_level", counting("max_level", Filtration.max_level))
+    monkeypatch.setattr(
+        matroid, "enumerate_flats", counting("enumerate_flats", enumerate_flats)
+    )
+    second = check_stability(bundle, validate_polarization(fan, (Fraction(2, 3),) * 4))
+    assert calls == {"rank": 0, "enumerate_flats": 0, "max_level": 0}
+    assert len(second.flat_slopes) == len(first.flat_slopes) == 142
+    assert [fs.slope * 3 / 2 for fs in second.flat_slopes] == [
+        fs.slope for fs in first.flat_slopes
+    ]
