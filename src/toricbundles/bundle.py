@@ -9,14 +9,22 @@ subspaces V_1 = E > V_2 > ... > V_s > 0 and means
 
 The compatibility check is two-phase: exact profile multiplicities first
 (necessary), as finite differences of intersection dimensions found by a
-walk that stops at the first zero intersection, then one greedy splitting,
-verified verbatim against the sum condition. Both verdicts are exact: if a
-compatible basis B exists, every S(q) = n E_i(q_i), and every sum of them, is
-spanned by part of B. Profiles are split in the order (-sum p, p), so no
-earlier q has q <= p, and the lines chosen so far meet S(p) in deeper(p) =
-sum_i S(p + e_i); the echelon rows of S(p) then give exactly m(p) new lines.
-For a preferred F spanned by part of B, the rows of S(p) n F come first and
-give exactly dim F lines inside F.
+walk that stops at the first zero intersection, then one greedy splitting.
+Both verdicts are exact. If a compatible basis B exists, every
+S(q) = n E_i(q_i), and every sum of them, is spanned by part of B. Profiles
+are split in the order (-sum p, p), so no earlier q has q <= p, and the
+lines chosen so far meet S(p) in deeper(p) = sum_i S(p + e_i); the echelon
+rows of S(p) then give exactly m(p) new lines. For a preferred F spanned by
+part of B, the rows of S(p) n F come first and give exactly dim F lines
+inside F.
+
+Conversely, a greedy pass that fills every multiplicity is a compatible
+basis, so it is returned without a re-check. Its multiplicities are
+nonnegative, and the finite differences telescope: for a threshold j of ray
+i, the profiles with p_i >= j carry dim E_i(j) lines in all, and all
+profiles carry rank lines. Each such line lies in S(p), inside
+E_i(p_i), inside E_i(j), and the chosen lines are independent, so they form
+a basis whose lines with p_i >= j span E_i(j).
 """
 from __future__ import annotations
 
@@ -27,6 +35,7 @@ from .fan import Fan, FanError, validate_fan
 from .linalg import (
     Subspace,
     Vector,
+    extend_basis,
     intersect,
     solve_integer_system,
     span,
@@ -54,6 +63,21 @@ class Filtration:
         if steps[-1][1].dim == 0:
             raise ValueError("the zero space is implicit beyond the last threshold")
         self.steps = steps
+
+    @classmethod
+    def from_values(cls, rank: int, values) -> "Filtration":
+        """The filtration taking value sp at threshold j for the (j, sp)
+        pairs in increasing j: zero values are dropped, and a run of equal
+        values keeps its last threshold."""
+        steps = []
+        for j, sp in values:
+            if sp.dim == 0:
+                continue
+            if steps and steps[-1][1] == sp:
+                steps[-1] = (j, sp)
+            else:
+                steps.append((j, sp))
+        return cls(rank, steps)
 
     @property
     def thresholds(self) -> tuple[int, ...]:
@@ -182,18 +206,10 @@ def direct_sum(b1: ToricBundle, b2: ToricBundle) -> ToricBundle:
     filts = []
     for f1, f2 in zip(b1.filtrations, b2.filtrations):
         thresholds = sorted(set(f1.thresholds) | set(f2.thresholds))
-        steps = []
-        for t in thresholds:
-            sp = subspace_sum(
-                _embed(f1.value(t), 0, r), _embed(f2.value(t), b1.rank, r)
-            )
-            if sp.dim == 0:
-                continue
-            if steps and steps[-1][1] == sp:
-                steps[-1] = (t, sp)
-            else:
-                steps.append((t, sp))
-        filts.append(Filtration(r, steps))
+        filts.append(Filtration.from_values(r, [
+            (t, subspace_sum(_embed(f1.value(t), 0, r), _embed(f2.value(t), b1.rank, r)))
+            for t in thresholds
+        ]))
     spans = []
     for offset, part in ((0, b1), (b1.rank, b2)):
         for prev in part.summand_spans or (Subspace.full(part.rank),):
@@ -307,30 +323,12 @@ def _attempt_split(mult, space_at, rank, prefer):
     chosen: list[tuple[tuple[int, ...], Vector]] = []
     chosen_span = Subspace.zero(rank)
     for p in sorted(mult, key=lambda p: (-sum(p), p)):
-        inter = space_at(p)
-        pools = [inter] if prefer is None else [intersect(inter, prefer), inter]
-        need = mult[p]
-        for pool in pools:
-            for cand in pool.rows:
-                if need and not chosen_span.contains(cand):
-                    chosen.append((p, cand))
-                    chosen_span = subspace_sum(chosen_span, span([cand], rank))
-                    need -= 1
-        if need:
+        lines = extend_basis(chosen_span, space_at(p), mult[p], prefer)
+        if len(lines) < mult[p]:
             return None
+        chosen.extend((p, v) for v in lines)
+        chosen_span = subspace_sum(chosen_span, span(lines, rank))
     return chosen
-
-
-def _verify_split(filts, assignment, rank) -> bool:
-    """The (CC) sum condition, checked verbatim at every jump level."""
-    if span([v for _, v in assignment], rank).dim != rank:
-        return False
-    for i, f in enumerate(filts):
-        for j in f.thresholds:
-            got = span([v for p, v in assignment if p[i] >= j], rank)
-            if got != f.value(j):
-                return False
-    return True
 
 
 def _cone_walk(bundle, cone_index):
@@ -351,34 +349,31 @@ def _cone_walk(bundle, cone_index):
     return walk
 
 
-def _split_cone(bundle, cone_index, prefer=None, flat_dim=None):
+def _split_cone(bundle, cone_index, prefer=None):
     """Compatible basis rows on one cone, or an IncompatibilityWitness.
 
-    With flat_dim set, the split is only accepted when exactly flat_dim of
-    its lines lie inside `prefer` (the compatible-flat count condition).
+    With `prefer` set, the split is only accepted when exactly prefer.dim of
+    its lines lie inside it (the compatible-flat count condition).
     """
     walk = _cone_walk(bundle, cone_index)
     if isinstance(walk, IncompatibilityWitness):
         return walk
     mult, space_at = walk
     cone = bundle.fan.max_cones[cone_index]
-    filts = [bundle.filtrations[i] for i in cone]
     assignment = _attempt_split(mult, space_at, bundle.rank, prefer)
     if assignment is None:
         reason = "no independent lines left for some profile"
-    elif not _verify_split(filts, assignment, bundle.rank):
-        reason = "the greedy decomposition fails the sum condition"
     else:
-        inside = None if flat_dim is None else sum(
+        inside = 0 if prefer is None else sum(
             1 for _, v in assignment if prefer.contains(v)
         )
-        if inside == flat_dim:
+        if prefer is None or inside == prefer.dim:
             rays = [bundle.fan.rays[i] for i in cone]
             return tuple(
                 SheetRow(profile=p, character=solve_integer_system(rays, p), vector=v)
                 for p, v in assignment
             )
-        reason = f"basis meets the flat in {inside} lines, need {flat_dim}"
+        reason = f"basis meets the flat in {inside} lines, need {prefer.dim}"
     return IncompatibilityWitness(cone_index, cone, None, None, reason)
 
 

@@ -228,10 +228,7 @@ def _cmd_parliament(args, doc, out):
     if args.svg:
         segments = ()
         if args.wall is not None:
-            ws = walls(doc.fan)
-            if not 0 <= args.wall < len(ws):
-                raise SchemaError([("--wall", f"wall index out of range 0..{len(ws) - 1}")])
-            segments = restrict_to_curve(doc.bundle, ws[args.wall]).segments
+            segments = restrict_to_curve(doc.bundle, _wall(doc.fan, args.wall)).segments
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(render_svg(parl, SvgOptions(wall_segments=segments)))
     if args.format == "json":
@@ -249,6 +246,14 @@ def _cmd_parliament(args, doc, out):
         label = f"e{m['entry']}" if m["entry"] is not None else f"flat {m['flat']}"
         out.write(f"cone {m['cone']}: character {m['character']} -> {label}\n")
     out.write(f"globally generated: {'yes' if gg else 'no'}\n")
+
+
+def _wall(fan, index):
+    """The wall with the given --wall index, or a SchemaError."""
+    ws = walls(fan)
+    if not 0 <= index < len(ws):
+        raise SchemaError([("--wall", f"wall index out of range 0..{len(ws) - 1}")])
+    return ws[index]
 
 
 def _cmd_flats(args, doc, out):
@@ -287,10 +292,7 @@ def _cmd_flats(args, doc, out):
 
 
 def _cmd_restrict(args, doc, out):
-    ws = walls(doc.fan)
-    if not 0 <= args.wall < len(ws):
-        raise SchemaError([("--wall", f"wall index out of range 0..{len(ws) - 1}")])
-    wall = ws[args.wall]
+    wall = _wall(doc.fan, args.wall)
     report = restrict_to_curve(doc.bundle, wall)
     payload = {
         "schema_version": SCHEMA_VERSION,

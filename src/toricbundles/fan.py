@@ -150,8 +150,6 @@ def validate_fan(fan: Fan) -> FanReport:
     smooth = True
     for cone in fan.max_cones:
         d = det(fan.ray_matrix(cone))
-        assert d.denominator == 1
-        d = int(d)
         cone_dets.append((cone, d))
         if abs(d) != 1:
             smooth = False

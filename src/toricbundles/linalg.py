@@ -29,17 +29,8 @@ def dot(u: Sequence, v: Sequence) -> Fraction:
     return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), ZERO)
 
 
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_sub(u: Vector, v: Vector) -> Vector:
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, v: Sequence) -> Vector:
-    c = Fraction(c)
-    return tuple(c * Fraction(x) for x in v)
 
 
 def is_zero_vector(v: Sequence) -> bool:
@@ -209,6 +200,24 @@ def intersect(u: Subspace, v: Subspace) -> Subspace:
     return span(vecs, d)
 
 
+def extend_basis(
+    spanned: Subspace, target: Subspace, need: int, prefer: Subspace | None = None
+) -> list[Vector]:
+    """At most `need` echelon rows of `target` that are independent modulo
+    `spanned`, taken greedily: the rows of target n prefer first, then those
+    of target."""
+    pools = [target] if prefer is None else [intersect(target, prefer), target]
+    rows: list[Vector] = []
+    for pool in pools:
+        for cand in pool.rows:
+            if len(rows) == need:
+                return rows
+            if not spanned.contains(cand):
+                rows.append(cand)
+                spanned = subspace_sum(spanned, span([cand], spanned.ambient))
+    return rows
+
+
 def integer_row(v: Sequence) -> tuple[int, ...]:
     """A rational vector times the lcm of its denominators: same line, ints."""
     v = vector(v)
@@ -221,22 +230,28 @@ def matrix_rank(rows: Iterable[Sequence]) -> int:
     return integer_rank(integer_row(r) for r in rows)
 
 
-def integer_rank(rows: Iterable[Sequence[int]]) -> int:
-    """Rank of an integer matrix by fraction-free elimination (Bareiss 1968).
+def _bareiss(rows: Iterable[Sequence[int]]) -> tuple[int, int]:
+    """(rank, signed last pivot) of an integer matrix by fraction-free
+    elimination (Bareiss 1968).
 
     After each pivot every remaining entry is a minor of the input, so the
-    division by the previous pivot is exact and no Fraction is built.
+    division by the previous pivot is exact and no Fraction is built. For a
+    square matrix of full rank the last pivot is the determinant of the
+    row-swapped matrix; the sign undoes the swaps.
     """
     mat = [list(r) for r in rows]
     n = len(mat)
     width = len(mat[0]) if mat else 0
     rank = 0
     prev = 1
+    sign = 1
     for col in range(width):
         piv = next((i for i in range(rank, n) if mat[i][col]), None)
         if piv is None:
             continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
+        if piv != rank:
+            mat[rank], mat[piv] = mat[piv], mat[rank]
+            sign = -sign
         top = mat[rank]
         p = top[col]
         for i in range(rank + 1, n):
@@ -246,49 +261,31 @@ def integer_rank(rows: Iterable[Sequence[int]]) -> int:
         rank += 1
         if rank == n:
             break
-    return rank
+    return rank, sign * prev
 
 
-def det(rows: Sequence[Sequence]) -> Fraction:
-    """Determinant of a square rational matrix (fraction-free result)."""
+def integer_rank(rows: Iterable[Sequence[int]]) -> int:
+    """Rank of an integer matrix."""
+    return _bareiss(rows)[0]
+
+
+def det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix."""
     n = len(rows)
-    mat = [[Fraction(x) for x in r] for r in rows]
-    for r in mat:
-        if len(r) != n:
-            raise ValueError("determinant of a non-square matrix")
-    result = ONE
-    for col in range(n):
-        piv = next((i for i in range(col, n) if mat[i][col] != 0), None)
-        if piv is None:
-            return ZERO
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            result = -result
-        result *= mat[col][col]
-        inv = mat[col][col]
-        for i in range(col + 1, n):
-            if mat[i][col] != 0:
-                f = mat[i][col] / inv
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[col])]
-    return result
+    if any(len(r) != n for r in rows):
+        raise ValueError("determinant of a non-square matrix")
+    rank, pivot = _bareiss(rows)
+    return pivot if rank == n else 0
 
 
 def solve_rational_system(matrix: Sequence[Sequence], rhs: Sequence) -> Vector | None:
-    """Unique solution of a square system, or None when singular."""
+    """Unique solution of a square system, or None when singular: the last
+    column of the reduced echelon form of the augmented matrix."""
     n = len(matrix)
-    mat = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if mat[i][col] != 0), None)
-        if piv is None:
-            return None
-        mat[col], mat[piv] = mat[piv], mat[col]
-        inv = mat[col][col]
-        mat[col] = [x / inv for x in mat[col]]
-        for i in range(n):
-            if i != col and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[col])]
-    return tuple(mat[i][n] for i in range(n))
+    red = _rref([tuple(row) + (rhs[i],) for i, row in enumerate(matrix)], n + 1)
+    if any(i >= len(red) or red[i][i] == 0 for i in range(n)):
+        return None
+    return tuple(r[n] for r in red[:n])
 
 
 def is_primitive(v: Sequence[int]) -> bool:

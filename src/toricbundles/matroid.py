@@ -26,11 +26,11 @@ from .bundle import (
 from .linalg import (
     Subspace,
     Vector,
+    extend_basis,
     integer_rank,
     integer_row,
     intersect,
     span,
-    subspace_sum,
 )
 
 
@@ -125,21 +125,13 @@ def ground_set(
             shuffle.shuffle(group)
         for v_elt in group:
             spanned = span([g for g in vectors if v_elt.contains(g)], r)
-            if spanned.dim == v_elt.dim:
+            need = v_elt.dim - spanned.dim
+            if need == 0:
                 continue
-            pools = []
-            if prefer is not None:
-                pools.append(intersect(v_elt, prefer).rows)
-            pools.append(v_elt.rows)
-            for pool in pools:
-                for cand in pool:
-                    if spanned.dim == v_elt.dim:
-                        break
-                    if not spanned.contains(cand):
-                        vectors.append(cand)
-                        steps.append(v_elt)
-                        spanned = subspace_sum(spanned, span([cand], r))
-            assert spanned.dim == v_elt.dim
+            added = extend_basis(spanned, v_elt, need, prefer)
+            assert len(added) == need
+            vectors.extend(added)
+            steps.extend([v_elt] * need)
     return GroundSet(ambient=r, vectors=tuple(vectors), steps=tuple(steps))
 
 
@@ -264,7 +256,7 @@ def is_compatible_flat(bundle: ToricBundle, flat: Flat):
     f_space = flat.subspace
     witness = []
     for ci in range(len(bundle.fan.max_cones)):
-        res = _split_cone(bundle, ci, prefer=f_space, flat_dim=f_space.dim)
+        res = _split_cone(bundle, ci, prefer=f_space)
         if isinstance(res, IncompatibilityWitness):
             return False, None
         witness.append(res)
@@ -274,9 +266,11 @@ def is_compatible_flat(bundle: ToricBundle, flat: Flat):
 def is_subbundle(bundle: ToricBundle, f_space: Subspace) -> bool:
     """Whether the subsheaf cut out by F is an equivariant subbundle.
 
-    Requires (a) a preference-built ground set with span(G n F) = F and
-    (b) a compatible flat whose witness bases, restricted to F, satisfy the
-    sum condition for the intersected filtrations.
+    Requires a preference-built ground set with span(G n F) = F and a
+    compatible flat. The sum condition for the intersected filtrations
+    follows: on each cone the dim F witness lines inside F span F, and a
+    compatible basis meets E_i(j) in exactly its lines with p_i >= j, so
+    E_i(j) n F is spanned by the lines inside F with p_i >= j.
     """
     if f_space.dim == 0:
         raise ValueError("the zero subspace does not define a subbundle")
@@ -286,21 +280,4 @@ def is_subbundle(bundle: ToricBundle, f_space: Subspace) -> bool:
     inside = gs.indices_in(f_space)
     if span([gs.vectors[i] for i in inside], gs.ambient) != f_space:
         return False
-    flat = closure(gs, inside)
-    ok, witness = is_compatible_flat(bundle, flat)
-    if not ok:
-        return False
-    for ci, rows in enumerate(witness):
-        cone = bundle.fan.max_cones[ci]
-        f_rows = [row for row in rows if f_space.contains(row.vector)]
-        for k, ray_index in enumerate(cone):
-            filt = bundle.filtrations[ray_index]
-            for j in filt.thresholds:
-                expected = intersect(filt.value(j), f_space)
-                got = span(
-                    [row.vector for row in f_rows if row.profile[k] >= j],
-                    bundle.rank,
-                )
-                if got != expected:
-                    return False
-    return True
+    return is_compatible_flat(bundle, closure(gs, inside))[0]

@@ -136,24 +136,15 @@ def reconstruct_filtrations(parl: Parliament, fan: Fan, rank: int):
         levels = sorted(
             {sum(u[i] * ray[i] for i in range(len(ray))) for u, _ in pairs}
         )
-        steps = []
-        for j in levels:
-            sp = span(
-                [
-                    e
-                    for u, e in pairs
-                    if sum(u[i] * ray[i] for i in range(len(ray))) >= j
-                ],
+        values = [
+            (j, span(
+                [e for u, e in pairs if sum(u[i] * ray[i] for i in range(len(ray))) >= j],
                 rank,
-            )
-            if sp.dim == 0:
-                continue
-            if steps and steps[-1][1] == sp:
-                steps[-1] = (j, sp)
-            else:
-                steps.append((j, sp))
+            ))
+            for j in levels
+        ]
         try:
-            recovered.append(Filtration(rank, steps))
+            recovered.append(Filtration.from_values(rank, values))
         except ValueError as exc:
             raise NotGloballyGeneratedError(
                 f"recovered flag on ray {ray} is not a filtration of the full fiber: {exc}"

@@ -91,3 +91,27 @@ def newton_polytope(fan: Fan, coefficients) -> HPolytope:
     if len(coeffs) != len(fan.rays):
         raise ValueError("one divisor coefficient per ray required")
     return HPolytope(fan.rays, coeffs)
+
+
+def convex_polygon(points):
+    """Convex hull of exact 2-d points in counterclockwise order from the
+    lexicographically least point; repeated points and points inside an
+    edge are dropped."""
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return pts
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower = []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return lower[:-1] + upper[:-1]

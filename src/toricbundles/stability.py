@@ -26,7 +26,7 @@ from .linalg import (
     vector,
 )
 from .matroid import Flat, _mask, bundle_ground_set, proper_nonzero_flats
-from .polytopes import HPolytope, newton_polytope
+from .polytopes import HPolytope, convex_polygon, newton_polytope
 
 
 class PolarizationError(ValueError):
@@ -36,7 +36,6 @@ class PolarizationError(ValueError):
 @dataclass(frozen=True)
 class Polarization:
     weights: tuple[Fraction, ...]
-    provenance: str = "given"
 
 
 def validate_polarization(fan: Fan, weights) -> Polarization:
@@ -91,7 +90,7 @@ def _facet_normalized_volume(poly: HPolytope, ray, bound) -> Fraction:
         xs = [c[0] for c in coords]
         return max(xs) - min(xs)
     if d == 3:
-        hull = _convex_polygon(coords)
+        hull = convex_polygon(coords)
         if len(hull) < 3:
             return Fraction(0)
         twice_area = Fraction(0)
@@ -101,28 +100,6 @@ def _facet_normalized_volume(poly: HPolytope, ray, bound) -> Fraction:
     raise NotImplementedError(
         "facet volumes are implemented exactly for fans of dimension <= 3"
     )
-
-
-def _convex_polygon(points):
-    """Convex hull of exact 2-d points in counterclockwise order."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
 
 
 def weights_from_divisor(fan: Fan, coefficients) -> Polarization:
@@ -142,8 +119,7 @@ def weights_from_divisor(fan: Fan, coefficients) -> Polarization:
         _facet_normalized_volume(poly, ray, bound)
         for ray, bound in zip(fan.rays, poly.bounds)
     ]
-    pol = validate_polarization(fan, weights)
-    return Polarization(weights=pol.weights, provenance="divisor")
+    return validate_polarization(fan, weights)
 
 
 # ---------------------------------------------------------------------------

@@ -11,19 +11,19 @@ from fractions import Fraction
 from math import lcm
 
 from .parliament import Parliament
+from .polytopes import convex_polygon
 
 _FILLS = (
     "#f6d46a", "#7ab8e6", "#e68a7a", "#8fd49a", "#c49ae6",
     "#e6c47a", "#7ae6d4", "#b8b8b8",
 )
 _MARKS = ("circle", "square", "diamond", "triangle", "pentagon", "cross")
+_CELL = 48  # pixels per lattice unit
+_MARGIN = 36
 
 
 @dataclass(frozen=True)
 class SvgOptions:
-    cell: int = 48
-    margin: int = 36
-    show_grid: bool = True
     wall_segments: tuple = ()  # optional restriction segments to overlay
 
 
@@ -71,16 +71,16 @@ def render_svg(parl: Parliament, options: SvgOptions | None = None) -> str:
     ys = [y * denom for _, y in points]
     x0, x1 = min(xs) - denom, max(xs) + denom
     y0, y1 = min(ys) - denom, max(ys) + denom
-    unit = Fraction(opts.cell, denom)
+    unit = Fraction(_CELL, denom)
 
     def px(x):
-        return opts.margin + int((Fraction(x) * denom - x0) * unit)
+        return _MARGIN + int((Fraction(x) * denom - x0) * unit)
 
     def py(y):
-        return opts.margin + int((y1 - Fraction(y) * denom) * unit)
+        return _MARGIN + int((y1 - Fraction(y) * denom) * unit)
 
-    width = px(Fraction(x1, denom)) + opts.margin
-    height = py(Fraction(y0, denom)) + opts.margin
+    width = px(Fraction(x1, denom)) + _MARGIN
+    height = py(Fraction(y0, denom)) + _MARGIN
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -98,28 +98,27 @@ def render_svg(parl: Parliament, options: SvgOptions | None = None) -> str:
     ]
     gx0, gx1 = -(-x0 // denom), x1 // denom
     gy0, gy1 = -(-y0 // denom), y1 // denom
-    if opts.show_grid:
-        for gx in range(int(gx0), int(gx1) + 1):
-            out.append(
-                f'<line x1="{px(gx)}" y1="{py(Fraction(y0, denom))}" '
-                f'x2="{px(gx)}" y2="{py(Fraction(y1, denom))}" '
-                f'class="{"axis" if gx == 0 else "grid"}"/>'
-            )
-        for gy in range(int(gy0), int(gy1) + 1):
-            out.append(
-                f'<line x1="{px(Fraction(x0, denom))}" y1="{py(gy)}" '
-                f'x2="{px(Fraction(x1, denom))}" y2="{py(gy)}" '
-                f'class="{"axis" if gy == 0 else "grid"}"/>'
-            )
+    for gx in range(int(gx0), int(gx1) + 1):
+        out.append(
+            f'<line x1="{px(gx)}" y1="{py(Fraction(y0, denom))}" '
+            f'x2="{px(gx)}" y2="{py(Fraction(y1, denom))}" '
+            f'class="{"axis" if gx == 0 else "grid"}"/>'
+        )
+    for gy in range(int(gy0), int(gy1) + 1):
+        out.append(
+            f'<line x1="{px(Fraction(x0, denom))}" y1="{py(gy)}" '
+            f'x2="{px(Fraction(x1, denom))}" y2="{py(gy)}" '
+            f'class="{"axis" if gy == 0 else "grid"}"/>'
+        )
     for entry, verts in zip(parl.entries, vertex_sets):
         fill = _FILLS[entry.index % len(_FILLS)]
         if not verts:
             out.append(
-                f'<text x="{opts.margin}" y="{opts.margin + 16 * (entry.index + 1)}" '
+                f'<text x="{_MARGIN}" y="{_MARGIN + 16 * (entry.index + 1)}" '
                 f'class="lbl">e{entry.index}: empty polytope</text>'
             )
             continue
-        hull = _ccw(verts)
+        hull = convex_polygon(verts)
         pts = " ".join(f"{px(x)},{py(y)}" for x, y in hull)
         out.append(f'<polygon points="{pts}" class="poly" fill="{fill}"/>')
         lx, ly = hull[0]
@@ -141,25 +140,3 @@ def render_svg(parl: Parliament, options: SvgOptions | None = None) -> str:
         out.append(_marker(kind, px(mark.character[0]), py(mark.character[1]), 6, color))
     out.append("</svg>")
     return "\n".join(out) + "\n"
-
-
-def _ccw(points):
-    """Counterclockwise convex ordering of exact 2-d points."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]

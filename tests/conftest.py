@@ -1,6 +1,7 @@
 from pathlib import Path
 
 import pytest
+from subspace_reference import verified_splits
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -19,6 +20,12 @@ FIXTURE_NAMES = (
 
 def fixture_path(name: str) -> Path:
     return FIXTURE_DIR / f"{name}.json"
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _every_split_meets_the_sum_condition():
+    with verified_splits():
+        yield
 
 
 @pytest.fixture(scope="session")

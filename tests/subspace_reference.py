@@ -7,15 +7,27 @@ a zero-pruned intersection walk. These are the earlier routes through
 exclusion over every level tuple, which the differential tests compare
 against, plus the seeded random-subspace slope probe and the `Fraction`
 echelon rank that `integer_rank` is checked against.
+
+It also holds two sum-condition checks that the package proves rather than
+runs, as the `bundle` and `matroid.is_subbundle` docstrings argue: on every
+split the greedy pass returns, and, for the intersected filtrations, on the
+witness bases of a subbundle. `verified_splits` runs the first on every
+split the package makes while it is open.
 """
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 
+import pytest
+
+from toricbundles import bundle as bundle_module
+from toricbundles import matroid as matroid_module
+from toricbundles.bundle import IncompatibilityWitness
 from toricbundles.linalg import Subspace, _rref, intersect, span
-from toricbundles.matroid import bundle_ground_set
+from toricbundles.matroid import bundle_ground_set, is_compatible_flat
 from toricbundles.stability import Order, slope
 
 
@@ -124,3 +136,72 @@ def profile_multiplicities(filts):
         if m:
             mult[p] = m
     return mult, space_at
+
+
+def verify_split(filts, assignment, rank) -> bool:
+    """The (CC) sum condition, checked verbatim at every jump level."""
+    if span([v for _, v in assignment], rank).dim != rank:
+        return False
+    for i, f in enumerate(filts):
+        for j in f.thresholds:
+            got = span([v for p, v in assignment if p[i] >= j], rank)
+            if got != f.value(j):
+                return False
+    return True
+
+
+def verify_sheet_rows(bundle, cone_index, rows) -> bool:
+    """`verify_split` on the sheet rows of one cone."""
+    filts = [bundle.filtrations[i] for i in bundle.fan.max_cones[cone_index]]
+    return verify_split(filts, [(r.profile, r.vector) for r in rows], bundle.rank)
+
+
+@contextmanager
+def verified_splits():
+    """While open, every split that `_split_cone` returns to the package is
+    checked by `verify_split`; both modules that call it are patched."""
+    original = bundle_module._split_cone
+
+    def checked(bundle, cone_index, prefer=None):
+        rows = original(bundle, cone_index, prefer)
+        if not isinstance(rows, IncompatibilityWitness):
+            assert verify_sheet_rows(bundle, cone_index, rows), (
+                f"split of cone {cone_index} fails the sum condition"
+            )
+        return rows
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bundle_module, "_split_cone", checked)
+        mp.setattr(matroid_module, "_split_cone", checked)
+        yield
+
+
+def is_subbundle(bundle, f_space) -> bool:
+    """`matroid.is_subbundle` with the sum condition for the intersected
+    filtrations checked verbatim on the compatible flat's witness bases."""
+    if f_space.dim == 0:
+        raise ValueError("the zero subspace does not define a subbundle")
+    if f_space.ambient != bundle.rank:
+        raise ValueError("subspace from a different fiber")
+    gs = bundle_ground_set(bundle, prefer=f_space)
+    inside = gs.indices_in(f_space)
+    if span([gs.vectors[i] for i in inside], gs.ambient) != f_space:
+        return False
+    flat = matroid_module.closure(gs, inside)
+    ok, witness = is_compatible_flat(bundle, flat)
+    if not ok:
+        return False
+    for ci, rows in enumerate(witness):
+        cone = bundle.fan.max_cones[ci]
+        f_rows = [row for row in rows if f_space.contains(row.vector)]
+        for k, ray_index in enumerate(cone):
+            filt = bundle.filtrations[ray_index]
+            for j in filt.thresholds:
+                expected = intersect(filt.value(j), f_space)
+                got = span(
+                    [row.vector for row in f_rows if row.profile[k] >= j],
+                    bundle.rank,
+                )
+                if got != expected:
+                    return False
+    return True

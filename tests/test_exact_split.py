@@ -1,7 +1,10 @@
 """The greedy split decides compatibility exactly: bundles built from one
 basis always split, together with every span of part of that basis, and a
 bundle whose multiplicities are all nonnegative but which has no compatible
-basis is refused without any hedge. The CLI --seed flag changes no result."""
+basis is refused without any hedge. Every split meets the sum condition of
+the reference, and subbundle verdicts match the reference that re-checks
+the sum condition on the witness bases. The CLI --seed flag changes no
+result."""
 import json
 from fractions import Fraction
 from itertools import combinations
@@ -11,7 +14,8 @@ from conftest import FIXTURE_NAMES, fixture_path
 from generators import projective_space
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from subspace_reference import matrix_rank
+from subspace_reference import is_subbundle as reference_is_subbundle
+from subspace_reference import matrix_rank, verify_sheet_rows
 from test_io_cli import run_cli
 
 from toricbundles.bundle import (
@@ -26,6 +30,7 @@ from toricbundles.bundle import (
 )
 from toricbundles.io import parse_document
 from toricbundles.linalg import span
+from toricbundles.matroid import is_subbundle
 from toricbundles.stability import check_stability, validate_polarization
 
 
@@ -64,9 +69,28 @@ def test_bundles_split_by_one_basis_are_compatible_with_their_flats(case):
         for part in combinations(basis, k):
             f_space = span(list(part), bundle.rank)
             for ci in range(len(bundle.fan.max_cones)):
-                rows = _split_cone(bundle, ci, prefer=f_space, flat_dim=k)
+                rows = _split_cone(bundle, ci, prefer=f_space)
                 assert not isinstance(rows, IncompatibilityWitness), rows
                 assert sum(f_space.contains(r.vector) for r in rows) == k
+                assert verify_sheet_rows(bundle, ci, rows)
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=basis_bundles(), data=st.data())
+def test_subbundle_verdicts_match_the_reference(case, data):
+    bundle, basis = case
+    rank = bundle.rank
+    spaces = [
+        span(list(part), rank)
+        for k in range(1, rank + 1)
+        for part in combinations(basis, k)
+    ]
+    vectors = st.lists(st.integers(-2, 2), min_size=rank, max_size=rank)
+    for rows in data.draw(st.lists(st.lists(vectors, min_size=1, max_size=rank), max_size=4)):
+        spaces.append(span(rows, rank))
+    for f_space in spaces:
+        if f_space.dim:
+            assert is_subbundle(bundle, f_space) == reference_is_subbundle(bundle, f_space)
 
 
 # three distinct lines of one plane, each jumping on its own ray of the

@@ -12,6 +12,7 @@ from toricbundles.linalg import (
     nullspace,
     orthogonal_lattice_basis,
     solve_integer_system,
+    solve_rational_system,
     span,
     subspace_sum,
 )
@@ -153,3 +154,42 @@ def test_solve_integer_system_triangle_character():
 def test_solve_integer_system_rejects_non_unimodular():
     with pytest.raises(NonUnimodularError):
         solve_integer_system([[2, 0], [0, 1]], (2, 1))
+
+
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        ([], 1),
+        ([[-3]], -3),
+        ([[1, 0], [0, 1]], 1),
+        ([[0, 1], [1, 0]], -1),  # one row swap
+        ([[2, 1], [7, 4]], 1),
+        ([[1, 2], [3, 4]], -2),
+        ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], -1),
+        ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 1),  # two row swaps
+        ([[2, -1, 0], [1, 3, 2], [0, 5, -4]], -48),
+        ([[1, 2], [2, 4]], 0),
+        ([[1, 2, 3], [4, 5, 6], [7, 8, 9]], 0),
+        ([[0, 0], [0, 0]], 0),
+    ],
+)
+def test_det_is_signed_and_zero_when_singular(rows, expected):
+    assert det(rows) == expected
+
+
+def test_det_rejects_non_square():
+    with pytest.raises(ValueError):
+        det([[1, 2]])
+
+
+@pytest.mark.parametrize(
+    "matrix, rhs",
+    [
+        ([[1, 2], [2, 4]], (1, 2)),  # consistent
+        ([[1, 2], [2, 4]], (1, 3)),  # inconsistent
+        ([[0, 0], [0, 1]], (0, 1)),
+        ([[1, 1, 0], [0, 1, 1], [1, 2, 1]], (1, 1, 2)),
+    ],
+)
+def test_solve_rational_system_singular_returns_none(matrix, rhs):
+    assert solve_rational_system(matrix, rhs) is None

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from subspace_reference import is_subbundle as reference_is_subbundle
 
 from toricbundles.bundle import line_bundle
 from toricbundles.fan import Fan
@@ -198,6 +199,7 @@ def test_full_flat_compatible(p2_tangent):
 def test_subbundle_rank3(p2_rank3):
     f_space = span([(1, 0, 0), (0, 0, 1)], 3)
     assert is_subbundle(p2_rank3.bundle, f_space)
+    assert reference_is_subbundle(p2_rank3.bundle, f_space)
     # <e1,e2> spans a flat but fails the compatible-basis count on cone (v1,v2)
     assert not is_subbundle(p2_rank3.bundle, span([(0, 1, 0), (1, 0, 0)], 3))
 
@@ -206,6 +208,7 @@ def test_subbundle_hirzebruch(documents):
     for name in ("hirzebruch_printed_tangent", "hirzebruch_h2_tangent"):
         bundle = documents[name].bundle
         assert is_subbundle(bundle, span([(0, 1)], 2))
+        assert reference_is_subbundle(bundle, span([(0, 1)], 2))
 
 
 def test_tangent_p2_has_no_nontrivial_subbundle(p2_tangent):

@@ -2,11 +2,12 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import pytest
 from subspace_reference import matrix_rank
 
 from toricbundles.fan import Fan
 from toricbundles.linalg import dot
-from toricbundles.polytopes import HPolytope, newton_polytope
+from toricbundles.polytopes import HPolytope, convex_polygon, newton_polytope
 
 P2_FAN = Fan(2, [(-1, -1), (1, 0), (0, 1)], [(0, 1), (0, 2), (1, 2)])
 BLP2_FAN = Fan(
@@ -101,3 +102,27 @@ def test_translate_shifts_vertices():
     p = newton_polytope(P2_FAN, (1, 0, 0))
     q = p.translate((2, -1))
     assert q.vertices() == _pts([(2, -1), (1, -1), (2, -2)])
+
+
+@pytest.mark.parametrize(
+    "points, hull",
+    [
+        ([], []),
+        ([(1, 2)], [(1, 2)]),
+        ([(1, 2), (1, 2)], [(1, 2)]),
+        ([(3, 0), (0, 1)], [(0, 1), (3, 0)]),
+        # collinear: only the two ends stay
+        ([(2, 2), (0, 0), (1, 1), (3, 3)], [(0, 0), (3, 3)]),
+        # repeated corners, an edge midpoint and an interior point
+        (
+            [(2, 0), (0, 0), (2, 2), (0, 2), (2, 0), (1, 0), (1, 1), (0, 0)],
+            [(0, 0), (2, 0), (2, 2), (0, 2)],
+        ),
+        (
+            [(Fraction(1, 2), 0), (0, Fraction(1, 3)), (-1, -1)],
+            [(-1, -1), (Fraction(1, 2), 0), (0, Fraction(1, 3))],
+        ),
+    ],
+)
+def test_convex_polygon_is_counterclockwise_without_repeats(points, hull):
+    assert convex_polygon(points) == hull
