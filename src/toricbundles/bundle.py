@@ -350,7 +350,8 @@ def _cone_walk(bundle, cone_index):
 
 
 def _split_cone(bundle, cone_index, prefer=None):
-    """Compatible basis rows on one cone, or an IncompatibilityWitness.
+    """Compatible basis of one cone as (profile, line) pairs, or an
+    IncompatibilityWitness.
 
     With `prefer` set, the split is only accepted when exactly prefer.dim of
     its lines lie inside it (the compatible-flat count condition).
@@ -359,7 +360,6 @@ def _split_cone(bundle, cone_index, prefer=None):
     if isinstance(walk, IncompatibilityWitness):
         return walk
     mult, space_at = walk
-    cone = bundle.fan.max_cones[cone_index]
     assignment = _attempt_split(mult, space_at, bundle.rank, prefer)
     if assignment is None:
         reason = "no independent lines left for some profile"
@@ -368,26 +368,29 @@ def _split_cone(bundle, cone_index, prefer=None):
             1 for _, v in assignment if prefer.contains(v)
         )
         if prefer is None or inside == prefer.dim:
-            rays = [bundle.fan.rays[i] for i in cone]
-            return tuple(
-                SheetRow(profile=p, character=solve_integer_system(rays, p), vector=v)
-                for p, v in assignment
-            )
+            return tuple(assignment)
         reason = f"basis meets the flat in {inside} lines, need {prefer.dim}"
+    cone = bundle.fan.max_cones[cone_index]
     return IncompatibilityWitness(cone_index, cone, None, None, reason)
 
 
 def check_compatibility(bundle: ToricBundle) -> CharacterSheet:
     """Decide the compatibility condition, once per bundle; raises
-    IncompatibleBundleError on every call for an incompatible one."""
+    IncompatibleBundleError on every call for an incompatible one. Each line
+    of a cone's split gets the character that solves <u, v_i> = p_i on the
+    cone's rays."""
     outcome = bundle._compatibility
     if outcome is None:
         rows = []
-        for ci in range(len(bundle.fan.max_cones)):
+        for ci, cone in enumerate(bundle.fan.max_cones):
             outcome = _split_cone(bundle, ci)
             if isinstance(outcome, IncompatibilityWitness):
                 break
-            rows.append(outcome)
+            rays = [bundle.fan.rays[i] for i in cone]
+            rows.append(tuple(
+                SheetRow(profile=p, character=solve_integer_system(rays, p), vector=v)
+                for p, v in outcome
+            ))
         else:
             outcome = CharacterSheet(rows=tuple(rows))
         bundle._compatibility = outcome

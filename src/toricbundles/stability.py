@@ -10,23 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .bundle import ToricBundle, check_compatibility
 from .fan import Fan, FanError, Wall, positively_spans, wall_normal
-from .linalg import (
-    Subspace,
-    dot,
-    intersect,
-    matrix_rank,
-    orthogonal_lattice_basis,
-    solve_rational_system,
-    subspace_sum,
-    vec_sub,
-    vector,
-)
+from .linalg import Subspace, intersect, orthogonal_lattice_basis, subspace_sum
 from .matroid import Flat, _mask, bundle_ground_set, proper_nonzero_flats
-from .polytopes import HPolytope, convex_polygon, newton_polytope
+from .polytopes import HPolytope, newton_polytope
 
 
 class PolarizationError(ValueError):
@@ -63,62 +53,50 @@ def validate_polarization(fan: Fan, weights) -> Polarization:
     return Polarization(weights=t)
 
 
-def _facet_normalized_volume(poly: HPolytope, ray, bound) -> Fraction:
-    """Lattice-normalized (d-1)-volume of the facet with outer normal `ray`,
-    measured in coordinates of an orthogonal lattice basis."""
-    verts = [p for p in poly.vertices() if dot(p, ray) == bound]
-    d = poly.dim
-    if d == 1:
-        return Fraction(1) if verts else Fraction(0)
-    if len(verts) < 2:
-        return Fraction(0)
-    basis = orthogonal_lattice_basis(ray, d)
-    base = verts[0]
-    coords = []
-    for p in verts:
-        diff = vec_sub(vector(p), vector(base))
-        # express diff in the orthogonal basis plus the ray direction; the
-        # ray coefficient is zero because both points lie on the facet
-        cols = list(basis) + [ray]
-        sol = solve_rational_system(
-            [[Fraction(cols[k][i]) for k in range(d)] for i in range(d)],
-            diff,
-        )
-        assert sol is not None and sol[-1] == 0
-        coords.append(sol[: d - 1])
-    if d == 2:
-        xs = [c[0] for c in coords]
-        return max(xs) - min(xs)
-    if d == 3:
-        hull = convex_polygon(coords)
-        if len(hull) < 3:
-            return Fraction(0)
-        twice_area = Fraction(0)
-        for (x1, y1), (x2, y2) in zip(hull, hull[1:] + hull[:1]):
-            twice_area += x1 * y2 - x2 * y1
-        return abs(twice_area)
-    raise NotImplementedError(
-        "facet volumes are implemented exactly for fans of dimension <= 3"
-    )
+def _lattice_volume(halfspaces: dict, dim: int) -> Fraction:
+    """Lattice-normalized volume (dim! times the Euclidean volume) of the
+    bounded polytope {y in Q^dim : <a, y> <= b for (a, b) in halfspaces}, whose
+    normals are distinct and primitive. The pyramids over the facets from the
+    origin give dim! vol(P) = sum b Vol(F_a), with b the lattice distance."""
+    if dim == 0:
+        return Fraction(1)
+    return sum(b * _facet_volume(halfspaces, a, b) for a, b in halfspaces.items())
+
+
+def _facet_volume(halfspaces: dict, normal, bound) -> Fraction:
+    """Lattice-normalized volume of the face <normal, y> = bound: the same
+    problem one dimension down, in the coordinates m = x + B y of a rational
+    point x on the hyperplane and a lattice basis B of normal-perp."""
+    basis = orthogonal_lattice_basis(normal, len(normal))
+    norm = sum(a * a for a in normal)
+    x = [Fraction(bound * a, norm) for a in normal]
+    facet: dict = {}
+    for a, b in halfspaces.items():
+        restricted = tuple(sum(ai * bi for ai, bi in zip(a, col)) for col in basis)
+        rest = b - sum(ai * xi for ai, xi in zip(a, x))
+        g = gcd(*restricted)
+        if g == 0:
+            if rest < 0:
+                return Fraction(0)
+            continue
+        restricted = tuple(ai // g for ai in restricted)
+        facet[restricted] = min(rest / g, facet.get(restricted, rest / g))
+    return _lattice_volume(facet, len(basis))
 
 
 def weights_from_divisor(fan: Fan, coefficients) -> Polarization:
     """Polarization weights of a divisor: normalized facet volumes of its
-    polytope. The polytope must be full-dimensional."""
+    polytope. The polytope must be full-dimensional, which holds exactly
+    when sum c_i t_i = d! vol(P) is positive."""
     poly = newton_polytope(fan, coefficients)
-    verts = poly.vertices()
-    if not verts:
+    if poly.is_empty():
         raise PolarizationError("divisor polytope is empty; weights undefined")
-    base = verts[0]
-    diffs = [vec_sub(vector(p), vector(base)) for p in verts[1:]]
-    if matrix_rank(diffs) < fan.dim:
+    halfspaces = dict(zip(poly.rays, poly.bounds))
+    weights = [_facet_volume(halfspaces, ray, c) for ray, c in halfspaces.items()]
+    if sum(c * t for c, t in zip(poly.bounds, weights)) == 0:
         raise PolarizationError(
             "divisor polytope is lower-dimensional; weights undefined"
         )
-    weights = [
-        _facet_normalized_volume(poly, ray, bound)
-        for ray, bound in zip(fan.rays, poly.bounds)
-    ]
     return validate_polarization(fan, weights)
 
 

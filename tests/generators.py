@@ -1,5 +1,5 @@
 """Small complete fans and a flag helper shared by the randomized tests."""
-from itertools import combinations
+from itertools import combinations, product
 
 from subspace_reference import matrix_rank
 
@@ -23,6 +23,22 @@ def projective_space(d, order=None):
     where = {old: new for new, old in enumerate(order)}
     cones = [tuple(sorted(where[i] for i in c)) for c in combinations(range(d + 1), d)]
     return Fan(d, [rays[i] for i in order], cones)
+
+
+def p1_cubed():
+    """(P^1)^3: rays +-e_k, one cone per choice of signs."""
+    rays = [tuple(s * int(i == k) for i in range(3)) for k in range(3) for s in (1, -1)]
+    cones = [tuple(2 * k + c for k, c in enumerate(choice))
+             for choice in product((0, 1), repeat=3)]
+    return Fan(3, rays, cones)
+
+
+def blown_up_p3():
+    """P^3 blown up at the fixed point of the cone (e_1, e_2, e_3): the new
+    ray e_1 + e_2 + e_3 subdivides that cone into three."""
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (1, 1, 1)]
+    cones = [(0, 1, 3), (0, 2, 3), (1, 2, 3), (0, 1, 4), (0, 2, 4), (1, 2, 4)]
+    return Fan(3, rays, cones)
 
 
 def independent_prefix(pool, order, k, rank):

@@ -6,7 +6,9 @@ a zero-pruned intersection walk. These are the earlier routes through
 `Subspace.contains`, `intersect`, `Fraction` echelon forms and inclusion-
 exclusion over every level tuple, which the differential tests compare
 against, plus the seeded random-subspace slope probe and the `Fraction`
-echelon rank that `integer_rank` is checked against.
+echelon rank that `integer_rank` is checked against, and the per-dimension
+facet volumes (vertices, coordinates in an orthogonal lattice basis, hull
+and shoelace for d <= 3) that the lattice-volume recursion replaced.
 
 It also holds two sum-condition checks that the package proves rather than
 runs, as the `bundle` and `matroid.is_subbundle` docstrings argue: on every
@@ -26,14 +28,67 @@ import pytest
 from toricbundles import bundle as bundle_module
 from toricbundles import matroid as matroid_module
 from toricbundles.bundle import IncompatibilityWitness
-from toricbundles.linalg import Subspace, _rref, intersect, span
+from toricbundles.linalg import (
+    Subspace,
+    _rref,
+    dot,
+    intersect,
+    orthogonal_lattice_basis,
+    solve_rational_system,
+    span,
+    vector,
+)
 from toricbundles.matroid import bundle_ground_set, is_compatible_flat
+from toricbundles.polytopes import HPolytope, convex_polygon
 from toricbundles.stability import Order, slope
 
 
 def matrix_rank(rows, width):
     """Rank as the number of rows of the `Fraction` reduced echelon form."""
     return len(_rref(rows, width))
+
+
+def vec_sub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def _facet_normalized_volume(poly: HPolytope, ray, bound) -> Fraction:
+    """Lattice-normalized (d-1)-volume of the facet with outer normal `ray`,
+    measured in coordinates of an orthogonal lattice basis."""
+    verts = [p for p in poly.vertices() if dot(p, ray) == bound]
+    d = poly.dim
+    if d == 1:
+        return Fraction(1) if verts else Fraction(0)
+    if len(verts) < 2:
+        return Fraction(0)
+    basis = orthogonal_lattice_basis(ray, d)
+    base = verts[0]
+    coords = []
+    for p in verts:
+        diff = vec_sub(vector(p), vector(base))
+        # express diff in the orthogonal basis plus the ray direction; the
+        # ray coefficient is zero because both points lie on the facet
+        cols = list(basis) + [ray]
+        sol = solve_rational_system(
+            [[Fraction(cols[k][i]) for k in range(d)] for i in range(d)],
+            diff,
+        )
+        assert sol is not None and sol[-1] == 0
+        coords.append(sol[: d - 1])
+    if d == 2:
+        xs = [c[0] for c in coords]
+        return max(xs) - min(xs)
+    if d == 3:
+        hull = convex_polygon(coords)
+        if len(hull) < 3:
+            return Fraction(0)
+        twice_area = Fraction(0)
+        for (x1, y1), (x2, y2) in zip(hull, hull[1:] + hull[:1]):
+            twice_area += x1 * y2 - x2 * y1
+        return abs(twice_area)
+    raise NotImplementedError(
+        "facet volumes are implemented exactly for fans of dimension <= 3"
+    )
 
 
 def closure(gs, subset):
@@ -150,10 +205,10 @@ def verify_split(filts, assignment, rank) -> bool:
     return True
 
 
-def verify_sheet_rows(bundle, cone_index, rows) -> bool:
-    """`verify_split` on the sheet rows of one cone."""
+def verify_cone_split(bundle, cone_index, assignment) -> bool:
+    """`verify_split` on the (profile, line) pairs of one cone."""
     filts = [bundle.filtrations[i] for i in bundle.fan.max_cones[cone_index]]
-    return verify_split(filts, [(r.profile, r.vector) for r in rows], bundle.rank)
+    return verify_split(filts, assignment, bundle.rank)
 
 
 @contextmanager
@@ -163,12 +218,12 @@ def verified_splits():
     original = bundle_module._split_cone
 
     def checked(bundle, cone_index, prefer=None):
-        rows = original(bundle, cone_index, prefer)
-        if not isinstance(rows, IncompatibilityWitness):
-            assert verify_sheet_rows(bundle, cone_index, rows), (
+        split = original(bundle, cone_index, prefer)
+        if not isinstance(split, IncompatibilityWitness):
+            assert verify_cone_split(bundle, cone_index, split), (
                 f"split of cone {cone_index} fails the sum condition"
             )
-        return rows
+        return split
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bundle_module, "_split_cone", checked)
@@ -191,17 +246,14 @@ def is_subbundle(bundle, f_space) -> bool:
     ok, witness = is_compatible_flat(bundle, flat)
     if not ok:
         return False
-    for ci, rows in enumerate(witness):
+    for ci, pairs in enumerate(witness):
         cone = bundle.fan.max_cones[ci]
-        f_rows = [row for row in rows if f_space.contains(row.vector)]
+        f_pairs = [(p, v) for p, v in pairs if f_space.contains(v)]
         for k, ray_index in enumerate(cone):
             filt = bundle.filtrations[ray_index]
             for j in filt.thresholds:
                 expected = intersect(filt.value(j), f_space)
-                got = span(
-                    [row.vector for row in f_rows if row.profile[k] >= j],
-                    bundle.rank,
-                )
+                got = span([v for p, v in f_pairs if p[k] >= j], bundle.rank)
                 if got != expected:
                     return False
     return True

@@ -15,7 +15,7 @@ from generators import projective_space
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from subspace_reference import is_subbundle as reference_is_subbundle
-from subspace_reference import matrix_rank, verify_sheet_rows
+from subspace_reference import matrix_rank, verify_cone_split
 from test_io_cli import run_cli
 
 from toricbundles.bundle import (
@@ -69,10 +69,10 @@ def test_bundles_split_by_one_basis_are_compatible_with_their_flats(case):
         for part in combinations(basis, k):
             f_space = span(list(part), bundle.rank)
             for ci in range(len(bundle.fan.max_cones)):
-                rows = _split_cone(bundle, ci, prefer=f_space)
-                assert not isinstance(rows, IncompatibilityWitness), rows
-                assert sum(f_space.contains(r.vector) for r in rows) == k
-                assert verify_sheet_rows(bundle, ci, rows)
+                split = _split_cone(bundle, ci, prefer=f_space)
+                assert not isinstance(split, IncompatibilityWitness), split
+                assert sum(f_space.contains(v) for _, v in split) == k
+                assert verify_cone_split(bundle, ci, split)
 
 
 @settings(max_examples=20, deadline=None)

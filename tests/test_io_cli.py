@@ -207,6 +207,27 @@ def test_cli_parliament_svg_with_wall_overlay(tmp_path):
     assert 'class="seg"' in svg_path.read_text()
 
 
+def test_cli_parliament_svg_unwritable_path(tmp_path):
+    svg_path = tmp_path / "missing" / "parl.svg"
+    code, out, err = run_cli(
+        ["parliament", fixture_path("p2_tangent"), "--svg", svg_path]
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"--svg: cannot write {svg_path}: No such file or directory\n"
+
+
+def test_cli_p4_tangent_with_divisor_polarization():
+    code, out, _ = run_cli(["check", fixture_path("p4_tangent")])
+    assert code == 0
+    assert out.startswith("STABLE, mu(E) = 5/4")
+    code, out, _ = run_cli(
+        ["weights", fixture_path("p4_tangent"), "--divisor=1,0,0,0,0"]
+    )
+    assert code == 0
+    assert out == "(1, 1, 1, 1, 1)\n"
+
+
 def _record_calls(monkeypatch, module, name):
     """Replace module.name by a wrapper that appends each call's arguments."""
     calls = []
@@ -240,6 +261,17 @@ def test_cli_flats_walks_each_cone_of_p3_once(monkeypatch):
     code, _, _ = run_cli(["flats", fixture_path("p3_tangent")])
     assert code == 0
     assert len(walks) == 4
+
+
+def test_cli_flats_solves_only_the_sheet_characters(monkeypatch):
+    from toricbundles import bundle
+
+    solves = _record_calls(monkeypatch, bundle, "solve_integer_system")
+    code, _, _ = run_cli(["flats", fixture_path("p3_tangent")])
+    assert code == 0
+    # one character per line of each of the 4 cones; the preferred splits
+    # behind the compatible-flat marks solve none
+    assert len(solves) == 3 * 4
 
 
 def test_cli_parliament_with_wall_reuses_the_bundle_analysis(tmp_path, monkeypatch):

@@ -177,8 +177,8 @@ def test_compatible_flats_split(documents):
     ok, witness = is_compatible_flat(bundle, flat)
     assert ok
     # every witness basis meets the flat's span in exactly one line
-    for rows in witness:
-        assert sum(1 for r in rows if flat.subspace.contains(r.vector)) == 1
+    for pairs in witness:
+        assert sum(1 for _, v in pairs if flat.subspace.contains(v)) == 1
 
 
 def test_tangent_flats_not_compatible(p2_tangent):

@@ -3,7 +3,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from subspace_reference import brute_force_max_slope
+from generators import blown_up_p3, hexagon, hirzebruch, p1_cubed, projective_space
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from subspace_reference import _facet_normalized_volume, brute_force_max_slope
 
 from toricbundles.bundle import (
     IncompatibleBundleError,
@@ -14,8 +17,10 @@ from toricbundles.fan import Fan, FanError, walls
 from toricbundles.linalg import Subspace, span
 from toricbundles.matroid import bundle_ground_set, proper_nonzero_flats
 from toricbundles.parliament import average_polytope
+from toricbundles.polytopes import newton_polytope
 from toricbundles.stability import (
     Order,
+    _facet_volume,
     Polarization,
     PolarizationError,
     c1,
@@ -61,6 +66,74 @@ def test_weights_on_p3_divisor():
     )
     # normalized areas of the four facets of the D_0 simplex are all 1
     assert weights_from_divisor(fan, (1, 0, 0, 0)).weights == (1, 1, 1, 1)
+
+
+VOLUME_FANS = (
+    projective_space(2),
+    projective_space(3),
+    hexagon(),
+    hirzebruch(0),
+    hirzebruch(3),
+    p1_cubed(),
+    blown_up_p3(),
+)
+
+
+@st.composite
+def fan_divisors(draw):
+    """(fan, coefficients in -3..3): nef or not, often empty."""
+    fan = draw(st.sampled_from(VOLUME_FANS))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(fan.rays),
+                           max_size=len(fan.rays)))
+    return fan, coeffs
+
+
+def _facet_volumes(fan, coeffs):
+    poly = newton_polytope(fan, coeffs)
+    halfspaces = dict(zip(poly.rays, poly.bounds))
+    return [_facet_volume(halfspaces, ray, c) for ray, c in halfspaces.items()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=fan_divisors())
+def test_facet_volumes_match_the_per_dimension_reference(case):
+    fan, coeffs = case
+    poly = newton_polytope(fan, coeffs)
+    assert _facet_volumes(fan, coeffs) == [
+        _facet_normalized_volume(poly, ray, c) for ray, c in zip(poly.rays, poly.bounds)
+    ]
+
+
+def _weights_or_error(fan, coeffs):
+    try:
+        return weights_from_divisor(fan, coeffs).weights
+    except PolarizationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=fan_divisors(), data=st.data())
+def test_weights_are_invariant_under_principal_twists(case, data):
+    fan, coeffs = case
+    u = data.draw(st.lists(st.integers(-3, 3), min_size=fan.dim, max_size=fan.dim))
+    twisted = [c + sum(a * b for a, b in zip(u, ray)) for c, ray in zip(coeffs, fan.rays)]
+    assert _weights_or_error(fan, twisted) == _weights_or_error(fan, coeffs)
+
+
+@pytest.mark.parametrize("d", [4, 5])
+@pytest.mark.parametrize("c", [1, 2, 3])
+def test_weights_of_multiples_of_the_hyperplane_class(d, c):
+    fan = projective_space(d)
+    weights = weights_from_divisor(fan, (c,) + (0,) * d).weights
+    assert weights == (c ** (d - 1),) * (d + 1)
+
+
+def test_weights_reject_a_segment_polytope_with_facets_of_volume_one():
+    fan = hirzebruch(0)  # rays (1, 0), (0, 1), (-1, 0), (0, -1)
+    # x = 0, 0 <= y <= 1: the two x-facets are the whole unit segment
+    assert _facet_volumes(fan, (0, 1, 0, 0)) == [1, 0, 1, 0]
+    with pytest.raises(PolarizationError, match="lower-dimensional"):
+        weights_from_divisor(fan, (0, 1, 0, 0))
 
 
 def test_validate_polarization_accepts_uniform():
