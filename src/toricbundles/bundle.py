@@ -29,14 +29,15 @@ a basis whose lines with p_i >= j span E_i(j).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .fan import Fan, FanError, validate_fan
 from .linalg import (
+    IntRow,
     Subspace,
     Vector,
     extend_basis,
     intersect,
+    rational_row,
     solve_integer_system,
     span,
     subspace_sum,
@@ -193,8 +194,7 @@ def tangent_bundle(fan: Fan) -> ToricBundle:
 
 def _embed(sub: Subspace, offset: int, total: int) -> Subspace:
     rows = [
-        tuple([Fraction(0)] * offset) + r + tuple([Fraction(0)] * (total - offset - len(r)))
-        for r in sub.rows
+        (0,) * offset + r + (0,) * (total - offset - len(r)) for r in sub.int_rows
     ]
     return span(rows, total)
 
@@ -318,9 +318,9 @@ def _profile_multiplicities(filts):
 
 def _attempt_split(mult, space_at, rank, prefer):
     """The greedy decomposition: for each profile p by descending sum, m(p)
-    echelon rows of S(p) outside the span of the lines chosen so far; None
-    when some profile runs short of rows."""
-    chosen: list[tuple[tuple[int, ...], Vector]] = []
+    integer echelon rows of S(p) outside the span of the lines chosen so
+    far; None when some profile runs short of rows."""
+    chosen: list[tuple[tuple[int, ...], IntRow]] = []
     chosen_span = Subspace.zero(rank)
     for p in sorted(mult, key=lambda p: (-sum(p), p)):
         lines = extend_basis(chosen_span, space_at(p), mult[p], prefer)
@@ -350,8 +350,8 @@ def _cone_walk(bundle, cone_index):
 
 
 def _split_cone(bundle, cone_index, prefer=None):
-    """Compatible basis of one cone as (profile, line) pairs, or an
-    IncompatibilityWitness.
+    """Compatible basis of one cone as (profile, line) pairs, each line an
+    integer echelon row, or an IncompatibilityWitness.
 
     With `prefer` set, the split is only accepted when exactly prefer.dim of
     its lines lie inside it (the compatible-flat count condition).
@@ -388,7 +388,8 @@ def check_compatibility(bundle: ToricBundle) -> CharacterSheet:
                 break
             rays = [bundle.fan.rays[i] for i in cone]
             rows.append(tuple(
-                SheetRow(profile=p, character=solve_integer_system(rays, p), vector=v)
+                SheetRow(profile=p, character=solve_integer_system(rays, p),
+                         vector=rational_row(v))
                 for p, v in outcome
             ))
         else:

@@ -188,6 +188,7 @@ def _cmd_check(args, doc, out):
 
 
 def _cmd_parliament(args, doc, out):
+    wall = None if args.wall is None else _wall(doc.fan, args.wall)
     parl = parliament(doc.bundle)
     gg = is_globally_generated(doc.bundle)
     spans = doc.bundle.summand_spans
@@ -230,8 +231,8 @@ def _cmd_parliament(args, doc, out):
     }
     if args.svg:
         segments = ()
-        if args.wall is not None:
-            segments = restrict_to_curve(doc.bundle, _wall(doc.fan, args.wall)).segments
+        if wall is not None:
+            segments = restrict_to_curve(doc.bundle, wall).segments
         try:
             with open(args.svg, "w", encoding="utf-8") as fh:
                 fh.write(render_svg(parl, SvgOptions(wall_segments=segments)))

@@ -1,8 +1,15 @@
 """Exact linear algebra over the rationals, plus integer lattice utilities.
 
-Vectors are tuples of ``fractions.Fraction``. A subspace is identified with
-its reduced row echelon basis, so equality and hashing are structural and
-every construction is bit-reproducible. No floating point anywhere.
+A subspace of Q^n is stored as its canonical integer echelon basis: the
+rows of its reduced row echelon form, each times the lcm of its
+denominators. Every such row is a primitive integer vector with a positive
+pivot, and this is a bijection with the reduced row echelon form, so
+equality and hashing are structural and every construction is
+bit-reproducible. Elimination is fraction-free: rows are combined with
+integer multipliers and divided by their content, so no ``Fraction`` is
+built. The ``Fraction`` rows of the reduced form (``Subspace.rows``) are
+derived when read, for ordering and printing. Vectors given to the
+package may hold ints or ``Fraction``s. No floating point anywhere.
 """
 from __future__ import annotations
 
@@ -11,16 +18,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
-def vector(entries: Iterable, dim: int | None = None) -> Vector:
-    v = tuple(Fraction(x) for x in entries)
-    if dim is not None and len(v) != dim:
-        raise ValueError(f"expected a vector of length {dim}, got {len(v)}")
-    return v
+IntRow = tuple[int, ...]
 
 
 def dot(u: Sequence, v: Sequence):
@@ -30,91 +28,125 @@ def dot(u: Sequence, v: Sequence):
     return sum(a * b for a, b in zip(u, v))
 
 
-def is_zero_vector(v: Sequence) -> bool:
-    return all(x == 0 for x in v)
+def integer_row(v: Iterable) -> IntRow:
+    """A rational vector times the lcm of its denominators: same line, ints."""
+    v = tuple(v)
+    for x in v:
+        if not isinstance(x, int):
+            break
+    else:
+        return v
+    v = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in v)
+    scale = lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (scale // x.denominator) for x in v)
 
 
-def _rref(rows: Iterable[Sequence], width: int) -> list[Vector]:
-    """Reduced row echelon form; returns the nonzero rows (pivots 1,
-    zeros above and below each pivot, pivot columns strictly increasing)."""
-    mat = [[Fraction(x) for x in r] for r in rows]
+def rational_row(row: Sequence[int]) -> Vector:
+    """The reduced echelon form of a line: a nonzero integer row divided by
+    its pivot, the first nonzero entry."""
+    p = next(x for x in row if x)
+    return tuple(Fraction(x, p) for x in row)
+
+
+def _clear(row: list[int], top: Sequence[int], col: int) -> list[int]:
+    """The primitive integer row on the line of (p / g) row - (a / g) top,
+    with p = top[col], a = row[col] and g = gcd(p, a): it is zero at col."""
+    p, a = top[col], row[col]
+    g = gcd(p, a)
+    out = [p // g * x - a // g * y for x, y in zip(row, top)]
+    c = gcd(*out)
+    return [x // c for x in out] if c > 1 else out
+
+
+def _echelon(rows: Iterable[Sequence[int]], width: int) -> tuple[tuple[IntRow, ...], tuple[int, ...]]:
+    """(canonical integer echelon rows, pivot columns) of the row space of
+    an integer matrix, by fraction-free Gauss-Jordan elimination: every
+    other row is cleared at each pivot column, and each pivot row is made
+    primitive with a positive pivot at the end."""
+    mat = [list(r) for r in rows]
     for r in mat:
         if len(r) != width:
             raise ValueError(f"row of length {len(r)} in a width-{width} matrix")
     nrows = len(mat)
-    row = 0
+    pivots: list[int] = []
     for col in range(width):
-        piv = None
-        for i in range(row, nrows):
-            if mat[i][col] != 0:
-                piv = i
-                break
+        rank = len(pivots)
+        piv = next((i for i in range(rank, nrows) if mat[i][col]), None)
         if piv is None:
             continue
-        mat[row], mat[piv] = mat[piv], mat[row]
-        inv = mat[row][col]
-        if inv != 1:
-            mat[row] = [x / inv for x in mat[row]]
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        top = mat[rank]
         for i in range(nrows):
-            if i != row and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[row])]
-        row += 1
-        if row == nrows:
+            if mat[i][col] and i != rank:
+                mat[i] = _clear(mat[i], top, col)
+        pivots.append(col)
+        if len(pivots) == nrows:
             break
-    return [tuple(r) for r in mat[:row]]
+    out = []
+    for row, col in zip(mat, pivots):
+        c = gcd(*row)
+        if row[col] < 0:
+            c = -c
+        out.append(tuple(x // c for x in row) if c != 1 else tuple(row))
+    return tuple(out), tuple(pivots)
 
 
 class Subspace:
-    """A rational subspace of Q^n with canonical echelon basis.
+    """A rational subspace of Q^n with canonical integer echelon basis:
+    row k of `int_rows` is primitive, with a positive pivot at column
+    `pivots[k]` and zeros at every other pivot column.
 
-    Two subspaces are equal iff their canonical bases coincide; build
+    Two subspaces are equal iff their integer rows coincide; build
     instances through :func:`span` (the constructor trusts its input).
     """
 
-    __slots__ = ("ambient", "rows")
+    __slots__ = ("ambient", "int_rows", "pivots")
 
-    def __init__(self, ambient: int, rows: tuple[Vector, ...] = ()):
+    def __init__(self, ambient: int, int_rows: tuple[IntRow, ...] = (),
+                 pivots: tuple[int, ...] = ()):
         self.ambient = ambient
-        self.rows = rows
+        self.int_rows = int_rows
+        self.pivots = pivots
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
-        return cls(ambient, ())
+        return cls(ambient)
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
         rows = tuple(
-            tuple(ONE if i == j else ZERO for j in range(ambient))
-            for i in range(ambient)
+            tuple(int(i == j) for j in range(ambient)) for i in range(ambient)
         )
-        return cls(ambient, rows)
+        return cls(ambient, rows, tuple(range(ambient)))
+
+    @property
+    def rows(self) -> tuple[Vector, ...]:
+        """The reduced row echelon basis in Fractions, built on each read."""
+        return tuple(rational_row(r) for r in self.int_rows)
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.int_rows)
 
     def is_zero(self) -> bool:
-        return not self.rows
+        return not self.int_rows
 
     def is_full(self) -> bool:
-        return len(self.rows) == self.ambient
-
-    def reduce(self, v: Sequence) -> Vector:
-        """Residual of v after eliminating against the basis rows."""
-        w = list(vector(v, self.ambient))
-        for row in self.rows:
-            piv = next(i for i, x in enumerate(row) if x != 0)
-            if w[piv] != 0:
-                f = w[piv]
-                w = [a - f * b for a, b in zip(w, row)]
-        return tuple(w)
+        return len(self.int_rows) == self.ambient
 
     def contains(self, v: Sequence) -> bool:
-        return is_zero_vector(self.reduce(v))
+        """Whether v lies in the subspace: its integer row, cleared at every
+        pivot column by the basis row there, leaves no residual."""
+        w = integer_row(v)
+        if len(w) != self.ambient:
+            raise ValueError(f"expected a vector of length {self.ambient}, got {len(w)}")
+        for row, col in zip(self.int_rows, self.pivots):
+            if w[col]:
+                w = _clear(w, row, col)
+        return not any(w)
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.rows)
+        return all(self.contains(r) for r in other.int_rows)
 
     def sort_key(self):
         return (self.dim, self.rows)
@@ -123,11 +155,11 @@ class Subspace:
         return (
             isinstance(other, Subspace)
             and self.ambient == other.ambient
-            and self.rows == other.rows
+            and self.int_rows == other.int_rows
         )
 
     def __hash__(self):
-        return hash((self.ambient, self.rows))
+        return hash((self.ambient, self.int_rows))
 
     def __repr__(self):
         if self.is_zero():
@@ -140,8 +172,13 @@ class Subspace:
 
 def span(vectors: Iterable[Sequence], ambient_dim: int) -> Subspace:
     """Canonical subspace spanned by the given rational vectors."""
-    vecs = [vector(v, ambient_dim) for v in vectors]
-    return Subspace(ambient_dim, tuple(_rref(vecs, ambient_dim)))
+    rows = []
+    for v in vectors:
+        row = integer_row(v)
+        if len(row) != ambient_dim:
+            raise ValueError(f"expected a vector of length {ambient_dim}, got {len(row)}")
+        rows.append(row)
+    return Subspace(ambient_dim, *_echelon(rows, ambient_dim))
 
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
@@ -151,22 +188,24 @@ def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
         return v
     if v.is_zero():
         return u
-    return span(u.rows + v.rows, u.ambient)
+    return span(u.int_rows + v.int_rows, u.ambient)
 
 
-def nullspace(rows: Iterable[Sequence], width: int) -> list[Vector]:
-    """Rational basis of {x : M x = 0} for the matrix with the given rows."""
-    red = _rref(rows, width)
-    pivots = []
-    for r in red:
-        pivots.append(next(i for i, x in enumerate(r) if x != 0))
-    free = [c for c in range(width) if c not in pivots]
+def nullspace(rows: Iterable[Sequence], width: int) -> list[IntRow]:
+    """Basis of {x : M x = 0} for the rational matrix with the given rows:
+    for each free column f, the vector with 1 at f that the reduced echelon
+    form gives, times the lcm of its denominators."""
+    red, pivots = _echelon([integer_row(r) for r in rows], width)
     basis = []
-    for f in free:
-        x = [ZERO] * width
-        x[f] = ONE
+    for f in range(width):
+        if f in pivots:
+            continue
+        # entry -r[f] / r[p] at each pivot p; clear the reduced denominators
+        scale = lcm(*(r[p] // gcd(r[p], r[f]) for r, p in zip(red, pivots)))
+        x = [0] * width
+        x[f] = scale
         for r, p in zip(red, pivots):
-            x[p] = -r[f]
+            x[p] = -r[f] * scale // r[p]
         basis.append(tuple(x))
     return basis
 
@@ -181,45 +220,34 @@ def intersect(u: Subspace, v: Subspace) -> Subspace:
     if v.is_full():
         return u
     d = u.ambient
-    # coefficients (a, b) with a.U = b.V; the kernel's a-part maps onto U cap V
-    eqs = []
-    for i in range(d):
-        eqs.append(tuple(r[i] for r in u.rows) + tuple(-r[i] for r in v.rows))
-    vecs = []
-    for k in nullspace(eqs, u.dim + v.dim):
-        a = k[: u.dim]
-        vecs.append(
-            tuple(
-                sum((a[j] * u.rows[j][i] for j in range(u.dim)), ZERO)
-                for i in range(d)
-            )
-        )
+    # coefficients (a, b) with a.U = b.V; the kernel's a-part maps onto U n V
+    eqs = [
+        tuple(r[i] for r in u.int_rows) + tuple(-r[i] for r in v.int_rows)
+        for i in range(d)
+    ]
+    vecs = [
+        tuple(sum(k[j] * r[i] for j, r in enumerate(u.int_rows)) for i in range(d))
+        for k in nullspace(eqs, u.dim + v.dim)
+    ]
     return span(vecs, d)
 
 
 def extend_basis(
     spanned: Subspace, target: Subspace, need: int, prefer: Subspace | None = None
-) -> list[Vector]:
-    """At most `need` echelon rows of `target` that are independent modulo
-    `spanned`, taken greedily: the rows of target n prefer first, then those
-    of target."""
+) -> list[IntRow]:
+    """At most `need` integer echelon rows of `target` that are independent
+    modulo `spanned`, taken greedily: the rows of target n prefer first,
+    then those of target."""
     pools = [target] if prefer is None else [intersect(target, prefer), target]
-    rows: list[Vector] = []
+    rows: list[IntRow] = []
     for pool in pools:
-        for cand in pool.rows:
+        for cand in pool.int_rows:
             if len(rows) == need:
                 return rows
             if not spanned.contains(cand):
                 rows.append(cand)
                 spanned = subspace_sum(spanned, span([cand], spanned.ambient))
     return rows
-
-
-def integer_row(v: Sequence) -> tuple[int, ...]:
-    """A rational vector times the lcm of its denominators: same line, ints."""
-    v = vector(v)
-    scale = lcm(*(x.denominator for x in v))
-    return tuple(int(x * scale) for x in v)
 
 
 def matrix_rank(rows: Iterable[Sequence]) -> int:
@@ -278,14 +306,23 @@ def det(rows: Sequence[Sequence[int]]) -> int:
     return pivot if rank == n else 0
 
 
-def solve_rational_system(matrix: Sequence[Sequence], rhs: Sequence) -> Vector | None:
-    """Unique solution of a square system, or None when singular: the last
-    column of the reduced echelon form of the augmented matrix."""
+def _solve(matrix: Sequence[Sequence], rhs: Sequence) -> list[tuple[int, int]] | None:
+    """(numerator, denominator) of each unknown of a square system, or None
+    when singular: Gauss-Jordan on the integer rows of the augmented matrix
+    leaves q_i x_i = c_i in row i."""
     n = len(matrix)
-    red = _rref([tuple(row) + (rhs[i],) for i, row in enumerate(matrix)], n + 1)
-    if any(i >= len(red) or red[i][i] == 0 for i in range(n)):
+    rows, pivots = _echelon(
+        [integer_row(tuple(row) + (rhs[i],)) for i, row in enumerate(matrix)], n + 1
+    )
+    if pivots[:n] != tuple(range(n)):
         return None
-    return tuple(r[n] for r in red[:n])
+    return [(r[n], r[i]) for i, r in enumerate(rows)]
+
+
+def solve_rational_system(matrix: Sequence[Sequence], rhs: Sequence) -> Vector | None:
+    """Unique solution of a square system, or None when singular."""
+    sol = _solve(matrix, rhs)
+    return None if sol is None else tuple(Fraction(c, q) for c, q in sol)
 
 
 def is_primitive(v: Sequence[int]) -> bool:
@@ -356,10 +393,6 @@ def solve_integer_system(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) ->
     d = det(matrix)
     if abs(d) != 1:
         raise NonUnimodularError(d)
-    sol = solve_rational_system(matrix, rhs)
-    assert sol is not None
-    out = []
-    for x in sol:
-        assert x.denominator == 1
-        out.append(int(x))
-    return tuple(out)
+    sol = _solve(matrix, rhs)
+    assert sol is not None and all(c % q == 0 for c, q in sol)
+    return tuple(c // q for c, q in sol)

@@ -24,12 +24,14 @@ from .bundle import (
     check_compatibility,
 )
 from .linalg import (
+    IntRow,
     Subspace,
     Vector,
     extend_basis,
     integer_rank,
     integer_row,
     intersect,
+    rational_row,
     span,
 )
 
@@ -72,7 +74,7 @@ class GroundSet:
     ambient: int
     vectors: tuple[Vector, ...]
     steps: tuple[Subspace, ...]  # steps[k] = lattice element that produced vectors[k]
-    _rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _rows: tuple[IntRow, ...] = field(init=False, repr=False, compare=False)
     _ranks: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -116,7 +118,7 @@ def ground_set(
     exhaust candidates inside the given subspace first.
     """
     r = lattice.ambient
-    vectors: list[Vector] = []
+    rows: list[IntRow] = []
     steps: list[Subspace] = []
     maxdim = max((w.dim for w in lattice.elements), default=0)
     for k in range(1, maxdim + 1):
@@ -124,15 +126,16 @@ def ground_set(
         if shuffle is not None:
             shuffle.shuffle(group)
         for v_elt in group:
-            spanned = span([g for g in vectors if v_elt.contains(g)], r)
+            spanned = span([g for g in rows if v_elt.contains(g)], r)
             need = v_elt.dim - spanned.dim
             if need == 0:
                 continue
             added = extend_basis(spanned, v_elt, need, prefer)
             assert len(added) == need
-            vectors.extend(added)
+            rows.extend(added)
             steps.extend([v_elt] * need)
-    return GroundSet(ambient=r, vectors=tuple(vectors), steps=tuple(steps))
+    vectors = tuple(rational_row(g) for g in rows)
+    return GroundSet(ambient=r, vectors=vectors, steps=tuple(steps))
 
 
 def bundle_ground_set(bundle: ToricBundle, prefer: Subspace | None = None) -> GroundSet:

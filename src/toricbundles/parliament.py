@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .bundle import Filtration, ToricBundle, check_compatibility
 from .fan import Fan
-from .linalg import Subspace, Vector, is_zero_vector, span, vector
+from .linalg import Subspace, Vector, integer_row, span
 from .matroid import GroundSet, bundle_ground_set, closure
 from .polytopes import HPolytope
 from .stability import c1
@@ -21,10 +21,12 @@ from .stability import c1
 
 def polytope_of(bundle: ToricBundle, e) -> HPolytope:
     """Polytope of a nonzero fiber vector: bound max{j : e in E^i(j)} per ray."""
-    ev = vector(e, bundle.rank)
-    if is_zero_vector(ev):
+    row = integer_row(e)
+    if len(row) != bundle.rank:
+        raise ValueError(f"expected a vector of length {bundle.rank}, got {len(row)}")
+    if not any(row):
         raise ValueError("the zero vector has no parliament polytope")
-    bounds = [f.max_level(ev) for f in bundle.filtrations]
+    bounds = [f.max_level(row) for f in bundle.filtrations]
     return HPolytope(bundle.fan.rays, bounds)
 
 

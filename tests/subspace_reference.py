@@ -5,10 +5,12 @@ ground-set bitmasks, and profile multiplicities from finite differences over
 a zero-pruned intersection walk. These are the earlier routes through
 `Subspace.contains`, `intersect`, `Fraction` echelon forms and inclusion-
 exclusion over every level tuple, which the differential tests compare
-against, plus the seeded random-subspace slope probe and the `Fraction`
-echelon rank that `integer_rank` is checked against, and the per-dimension
-facet volumes (vertices, coordinates in an orthogonal lattice basis, hull
-and shoelace for d <= 3) that the lattice-volume recursion replaced.
+against, plus the seeded random-subspace slope probe, the `Fraction`
+reduced echelon kernel (`_rref`, `reduce`, `contains` and the `rref_*`
+routes built on it) that the integer echelon rows of `linalg.Subspace` and
+`integer_rank` are checked against, and the per-dimension facet volumes
+(vertices, coordinates in an orthogonal lattice basis, hull and shoelace
+for d <= 3) that the lattice-volume recursion replaced.
 
 It also holds two sum-condition checks that the package proves rather than
 runs, as the `bundle` and `matroid.is_subbundle` docstrings argue: on every
@@ -30,17 +32,121 @@ from toricbundles import matroid as matroid_module
 from toricbundles.bundle import IncompatibilityWitness
 from toricbundles.linalg import (
     Subspace,
-    _rref,
     dot,
     intersect,
     orthogonal_lattice_basis,
     solve_rational_system,
     span,
-    vector,
 )
 from toricbundles.matroid import bundle_ground_set, is_compatible_flat
 from toricbundles.polytopes import HPolytope, convex_polygon
 from toricbundles.stability import Order, slope
+
+
+# ---------------------------------------------------------------------------
+# Fraction echelon forms: the earlier kernel of `linalg`, against which the
+# integer echelon rows are checked
+
+
+def vector(entries, dim=None):
+    v = tuple(Fraction(x) for x in entries)
+    if dim is not None and len(v) != dim:
+        raise ValueError(f"expected a vector of length {dim}, got {len(v)}")
+    return v
+
+
+def is_zero_vector(v) -> bool:
+    return all(x == 0 for x in v)
+
+
+def _rref(rows, width):
+    """Reduced row echelon form; returns the nonzero rows (pivots 1,
+    zeros above and below each pivot, pivot columns strictly increasing)."""
+    mat = [[Fraction(x) for x in r] for r in rows]
+    for r in mat:
+        if len(r) != width:
+            raise ValueError(f"row of length {len(r)} in a width-{width} matrix")
+    nrows = len(mat)
+    row = 0
+    for col in range(width):
+        piv = None
+        for i in range(row, nrows):
+            if mat[i][col] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        mat[row], mat[piv] = mat[piv], mat[row]
+        inv = mat[row][col]
+        if inv != 1:
+            mat[row] = [x / inv for x in mat[row]]
+        for i in range(nrows):
+            if i != row and mat[i][col] != 0:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[row])]
+        row += 1
+        if row == nrows:
+            break
+    return [tuple(r) for r in mat[:row]]
+
+
+def reduce(self, v):
+    """Residual of v after eliminating against the basis rows of the
+    subspace `self`."""
+    w = list(vector(v, self.ambient))
+    for row in self.rows:
+        piv = next(i for i, x in enumerate(row) if x != 0)
+        if w[piv] != 0:
+            f = w[piv]
+            w = [a - f * b for a, b in zip(w, row)]
+    return tuple(w)
+
+
+def contains(self, v) -> bool:
+    return is_zero_vector(reduce(self, v))
+
+
+def rref_span(vectors, width):
+    """The reduced echelon rows of the span, as `Subspace.rows` reads them."""
+    return tuple(_rref([vector(v, width) for v in vectors], width))
+
+
+def rref_nullspace(rows, width):
+    """Rational basis of {x : M x = 0}: 1 at each free column."""
+    red = _rref(rows, width)
+    pivots = [next(i for i, x in enumerate(r) if x != 0) for r in red]
+    basis = []
+    for f in (c for c in range(width) if c not in pivots):
+        x = [Fraction(0)] * width
+        x[f] = Fraction(1)
+        for r, p in zip(red, pivots):
+            x[p] = -r[f]
+        basis.append(tuple(x))
+    return basis
+
+
+def rref_intersect(u_rows, v_rows, width):
+    """Reduced echelon rows of U n V from the kernel of (a, b) -> a.U - b.V."""
+    if not u_rows or not v_rows:
+        return ()
+    eqs = [tuple(r[i] for r in u_rows) + tuple(-r[i] for r in v_rows) for i in range(width)]
+    vecs = []
+    for k in rref_nullspace(eqs, len(u_rows) + len(v_rows)):
+        a = k[: len(u_rows)]
+        vecs.append(tuple(
+            sum((a[j] * u_rows[j][i] for j in range(len(u_rows))), Fraction(0))
+            for i in range(width)
+        ))
+    return rref_span(vecs, width)
+
+
+def rref_solve(matrix, rhs):
+    """Unique solution of a square system, or None when singular."""
+    n = len(matrix)
+    red = _rref([tuple(row) + (rhs[i],) for i, row in enumerate(matrix)], n + 1)
+    if any(i >= len(red) or red[i][i] == 0 for i in range(n)):
+        return None
+    return tuple(r[n] for r in red[:n])
 
 
 def matrix_rank(rows, width):

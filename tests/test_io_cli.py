@@ -207,6 +207,18 @@ def test_cli_parliament_svg_with_wall_overlay(tmp_path):
     assert 'class="seg"' in svg_path.read_text()
 
 
+def test_cli_parliament_rejects_bad_wall_index_without_svg():
+    # --wall is range-checked whether or not --svg asks for the overlay
+    code, out, err = run_cli(
+        ["parliament", fixture_path("p2_tangent"), "--wall", "99", "--format", "json"]
+    )
+    assert code == 1
+    assert out == ""
+    _, _, restrict_err = run_cli(["restrict", fixture_path("p2_tangent"), "--wall", "99"])
+    assert "wall index out of range" in err
+    assert err == restrict_err
+
+
 def test_cli_parliament_svg_unwritable_path(tmp_path):
     svg_path = tmp_path / "missing" / "parl.svg"
     code, out, err = run_cli(
