@@ -293,7 +293,7 @@ def _cmd_flats(args, doc, out):
     if args.format == "json":
         out.write(dumps_report(payload))
         return
-    out.write(f"ground set: {len(gs.vectors)} elements\n")
+    out.write(f"ground set: {len(gs)} elements\n")
     for f in payload_flats:
         mark = "compatible" if f["compatible"] else "not compatible"
         extra = " (trivial)" if f["trivial"] else ""

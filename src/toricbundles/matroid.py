@@ -29,7 +29,6 @@ from .linalg import (
     Vector,
     extend_basis,
     integer_rank,
-    integer_row,
     intersect,
     rational_row,
     span,
@@ -72,33 +71,36 @@ class GroundSet:
     """
 
     ambient: int
-    vectors: tuple[Vector, ...]
-    steps: tuple[Subspace, ...]  # steps[k] = lattice element that produced vectors[k]
-    _rows: tuple[IntRow, ...] = field(init=False, repr=False, compare=False)
+    rows: tuple[IntRow, ...]  # integer echelon rows of the ground vectors
+    steps: tuple[Subspace, ...]  # steps[k] = lattice element that produced rows[k]
     _ranks: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_rows", tuple(integer_row(v) for v in self.vectors))
         object.__setattr__(self, "_ranks", {0: 0})
 
     def __len__(self):
-        return len(self.vectors)
+        return len(self.rows)
+
+    @cached_property
+    def vectors(self) -> tuple[Vector, ...]:
+        """The ground vectors as reduced echelon rows, as they are printed."""
+        return tuple(rational_row(g) for g in self.rows)
 
     def rank(self, mask: int) -> int:
         """Dimension of the span of the ground vectors in the bitmask."""
         r = self._ranks.get(mask)
         if r is None:
-            rows = self._rows
+            rows = self.rows
             r = integer_rank([rows[e] for e in range(len(rows)) if mask >> e & 1])
             self._ranks[mask] = r
         return r
 
     def indices_in(self, w: Subspace) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.vectors) if w.contains(v))
+        return tuple(i for i, g in enumerate(self.rows) if w.contains(g))
 
     @cached_property
     def _lines(self) -> dict[Subspace, int]:
-        return {span([g], self.ambient): i for i, g in enumerate(self.vectors)}
+        return {span([g], self.ambient): i for i, g in enumerate(self.rows)}
 
     def index_of_line(self, v) -> int | None:
         """The element spanning the line of v; the sweep never appends two
@@ -134,8 +136,7 @@ def ground_set(
             assert len(added) == need
             rows.extend(added)
             steps.extend([v_elt] * need)
-    vectors = tuple(rational_row(g) for g in rows)
-    return GroundSet(ambient=r, vectors=vectors, steps=tuple(steps))
+    return GroundSet(ambient=r, rows=tuple(rows), steps=tuple(steps))
 
 
 def bundle_ground_set(bundle: ToricBundle, prefer: Subspace | None = None) -> GroundSet:
@@ -172,7 +173,7 @@ class Flat:
     @cached_property
     def subspace(self) -> Subspace:
         gs = self.ground_set
-        return span([gs.vectors[i] for i in self.indices], gs.ambient)
+        return span([gs.rows[i] for i in self.indices], gs.ambient)
 
     def is_empty(self) -> bool:
         return not self.indices
@@ -204,7 +205,7 @@ def closure(gs: GroundSet, subset) -> Flat:
     {e : r(F + e) = r(F)}."""
     subset = sorted(set(subset))
     for i in subset:
-        if not 0 <= i < len(gs.vectors):
+        if not 0 <= i < len(gs):
             raise IndexError(f"ground-set index {i} out of range")
     mask = _mask(subset)
     flat = _close(gs, mask, ((1 << len(gs)) - 1) & ~mask)
@@ -250,7 +251,7 @@ def proper_nonzero_flats(gs: GroundSet) -> tuple[Flat, ...]:
 def is_compatible_flat(bundle: ToricBundle, flat: Flat):
     """Whether some compatible basis meets the flat's span in exactly
     rank-many lines on every maximal cone; returns (verdict, witness bases
-    as (profile, line) pairs per cone).
+    as (profile, line) pairs per cone, each line a reduced echelon row).
 
     The bundle itself must be compatible (raises otherwise).
     """
@@ -261,7 +262,7 @@ def is_compatible_flat(bundle: ToricBundle, flat: Flat):
         res = _split_cone(bundle, ci, prefer=f_space)
         if isinstance(res, IncompatibilityWitness):
             return False, None
-        witness.append(res)
+        witness.append(tuple((p, rational_row(v)) for p, v in res))
     return True, tuple(witness)
 
 
@@ -280,6 +281,6 @@ def is_subbundle(bundle: ToricBundle, f_space: Subspace) -> bool:
         raise ValueError("subspace from a different fiber")
     gs = bundle_ground_set(bundle, prefer=f_space)
     inside = gs.indices_in(f_space)
-    if span([gs.vectors[i] for i in inside], gs.ambient) != f_space:
+    if span([gs.rows[i] for i in inside], gs.ambient) != f_space:
         return False
     return is_compatible_flat(bundle, closure(gs, inside))[0]

@@ -72,8 +72,8 @@ def parliament(bundle: ToricBundle) -> Parliament:
     sheet = check_compatibility(bundle)
     gs = bundle_ground_set(bundle)
     entries = tuple(
-        ParliamentEntry(index=i, vector=v, polytope=polytope_of(bundle, v))
-        for i, v in enumerate(gs.vectors)
+        ParliamentEntry(index=i, vector=v, polytope=polytope_of(bundle, g))
+        for i, (v, g) in enumerate(zip(gs.vectors, gs.rows))
     )
     marks = []
     for ci, rows in enumerate(sheet.rows):

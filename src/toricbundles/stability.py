@@ -177,7 +177,7 @@ def _slope_table(bundle: ToricBundle):
         rank = gs.rank
         level_masks = []
         for filt in bundle.filtrations:
-            levels = [filt.max_level(v) for v in gs.vectors]
+            levels = [filt.max_level(g) for g in gs.rows]
             level_masks.append([
                 (a, sum(1 << e for e, lv in enumerate(levels) if lv >= a))
                 for a in filt.thresholds
