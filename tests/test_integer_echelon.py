@@ -201,20 +201,3 @@ def test_check_compatibility_builds_few_fractions(counted):
     counted.built = 0
     check_compatibility(bundle)
     assert counted.built <= P3_TANGENT_FRACTIONS
-
-
-def _is_reduced_line(v):
-    lead = next(x for x in v if x)
-    return all(isinstance(x, Fraction) for x in v) and lead == 1
-
-
-def test_public_lines_are_reduced_echelon_rows(documents):
-    from toricbundles.matroid import bundle_ground_set, closure, is_compatible_flat
-
-    bundle = documents["p2_sum_d0_d12"].bundle
-    gs = bundle_ground_set(bundle)
-    assert gs.vectors == tuple(span([g], gs.ambient).rows[0] for g in gs.rows)
-    assert all(_is_reduced_line(v) for v in gs.vectors)
-    ok, witness = is_compatible_flat(bundle, closure(gs, (gs.index_of_line((0, 1)),)))
-    assert ok
-    assert all(_is_reduced_line(v) for pairs in witness for _, v in pairs)

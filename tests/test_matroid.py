@@ -179,6 +179,10 @@ def test_compatible_flats_split(documents):
     # every witness basis meets the flat's span in exactly one line
     for pairs in witness:
         assert sum(1 for _, v in pairs if flat.subspace.contains(v)) == 1
+    # witness lines and ground vectors are reduced echelon rows, as the
+    # character sheet's lines are
+    for v in gs.vectors + tuple(v for pairs in witness for _, v in pairs):
+        assert span([v], 2).rows == (v,)
 
 
 def test_tangent_flats_not_compatible(p2_tangent):
