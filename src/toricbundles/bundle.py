@@ -25,6 +25,14 @@ i, the profiles with p_i >= j carry dim E_i(j) lines in all, and all
 profiles carry rank lines. Each such line lies in S(p), inside
 E_i(p_i), inside E_i(j), and the chosen lines are independent, so they form
 a basis whose lines with p_i >= j span E_i(j).
+
+The split grows the span of the chosen lines by adjoining each new line's
+residual to its echelon rows, so no sum is eliminated afresh. A line chosen
+for profile p on a cone with rays v_1..v_d gets the character u with
+<u, v_i> = p_i, that is u = R^-1 p for the cone's ray matrix R. The fan is
+validated smooth, so every maximal cone's rays are a lattice basis, det R =
++-1 and R^-1 is an integer matrix; it is computed once per cone, and every
+character of the cone is one integer matrix-vector product.
 """
 from __future__ import annotations
 
@@ -35,12 +43,13 @@ from .linalg import (
     IntRow,
     Subspace,
     Vector,
+    dot,
     extend_basis,
     intersect,
     rational_row,
-    solve_integer_system,
     span,
     subspace_sum,
+    unimodular_inverse,
 )
 
 
@@ -323,11 +332,10 @@ def _attempt_split(mult, space_at, rank, prefer):
     chosen: list[tuple[tuple[int, ...], IntRow]] = []
     chosen_span = Subspace.zero(rank)
     for p in sorted(mult, key=lambda p: (-sum(p), p)):
-        lines = extend_basis(chosen_span, space_at(p), mult[p], prefer)
+        lines, chosen_span = extend_basis(chosen_span, space_at(p), mult[p], prefer)
         if len(lines) < mult[p]:
             return None
         chosen.extend((p, v) for v in lines)
-        chosen_span = subspace_sum(chosen_span, span(lines, rank))
     return chosen
 
 
@@ -377,8 +385,9 @@ def _split_cone(bundle, cone_index, prefer=None):
 def check_compatibility(bundle: ToricBundle) -> CharacterSheet:
     """Decide the compatibility condition, once per bundle; raises
     IncompatibleBundleError on every call for an incompatible one. Each line
-    of a cone's split gets the character that solves <u, v_i> = p_i on the
-    cone's rays."""
+    of a cone's split gets the character u with <u, v_i> = p_i on the cone's
+    rays v_i, that is u = R^-1 p for the cone's ray matrix R, inverted once
+    per cone."""
     outcome = bundle._compatibility
     if outcome is None:
         rows = []
@@ -386,9 +395,9 @@ def check_compatibility(bundle: ToricBundle) -> CharacterSheet:
             outcome = _split_cone(bundle, ci)
             if isinstance(outcome, IncompatibilityWitness):
                 break
-            rays = [bundle.fan.rays[i] for i in cone]
+            inverse = unimodular_inverse([bundle.fan.rays[i] for i in cone])
             rows.append(tuple(
-                SheetRow(profile=p, character=solve_integer_system(rays, p),
+                SheetRow(profile=p, character=tuple(dot(r, p) for r in inverse),
                          vector=rational_row(v))
                 for p, v in outcome
             ))

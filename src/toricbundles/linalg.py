@@ -9,7 +9,20 @@ bit-reproducible. Elimination is fraction-free: rows are combined with
 integer multipliers and divided by their content, so no ``Fraction`` is
 built. The ``Fraction`` rows of the reduced form (``Subspace.rows``) are
 derived when read, for ordering and printing. Vectors given to the
-package may hold ints or ``Fraction``s. No floating point anywhere.
+package may hold ints or ``Fraction``s; a ``float`` entry is a
+``TypeError``. No floating point anywhere.
+
+Work already done is not redone. A vector's residual modulo a subspace
+(its integer row cleared at every pivot column) is zero exactly when the
+vector lies inside; a nonzero residual is adjoined to the echelon rows
+directly (made primitive, cleared from the other rows at its pivot
+column, inserted by pivot), so a basis grows one line at a time with no
+fresh elimination. An intersection U n V reduces the rows of the smaller
+space U modulo V by a linear fraction-free map that vanishes on V. U lies
+in V when every residual is zero, and a line with a nonzero residual meets
+V in 0; otherwise one elimination of the rows (residual | row), whose
+residual block has one column per free column of V, finds the combinations
+whose residuals vanish.
 """
 from __future__ import annotations
 
@@ -36,6 +49,8 @@ def integer_row(v: Iterable) -> IntRow:
             break
     else:
         return v
+    if any(isinstance(x, float) for x in v):
+        raise TypeError(f"float entry in {v}: give ints or Fractions")
     v = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in v)
     scale = lcm(*(x.denominator for x in v))
     return tuple(x.numerator * (scale // x.denominator) for x in v)
@@ -48,7 +63,17 @@ def rational_row(row: Sequence[int]) -> Vector:
     return tuple(Fraction(x, p) for x in row)
 
 
-def _clear(row: list[int], top: Sequence[int], col: int) -> list[int]:
+def primitive_line(v: Iterable) -> IntRow:
+    """The primitive integer row on the line of a rational vector, with a
+    positive first nonzero entry (the zero vector is returned as is)."""
+    row = integer_row(v)
+    c = gcd(*row)
+    if next((x for x in row if x), 0) < 0:
+        c = -c
+    return row if c in (0, 1) else tuple(x // c for x in row)
+
+
+def _clear(row: Sequence[int], top: Sequence[int], col: int) -> list[int]:
     """The primitive integer row on the line of (p / g) row - (a / g) top,
     with p = top[col], a = row[col] and g = gcd(p, a): it is zero at col."""
     p, a = top[col], row[col]
@@ -134,16 +159,37 @@ class Subspace:
     def is_full(self) -> bool:
         return len(self.int_rows) == self.ambient
 
-    def contains(self, v: Sequence) -> bool:
-        """Whether v lies in the subspace: its integer row, cleared at every
-        pivot column by the basis row there, leaves no residual."""
+    def residual(self, v: Sequence) -> Sequence[int]:
+        """v's integer row cleared at every pivot column by the basis row
+        there: zero exactly when v lies in the subspace, and zero at every
+        pivot column."""
         w = integer_row(v)
         if len(w) != self.ambient:
             raise ValueError(f"expected a vector of length {self.ambient}, got {len(w)}")
         for row, col in zip(self.int_rows, self.pivots):
             if w[col]:
                 w = _clear(w, row, col)
-        return not any(w)
+        return w
+
+    def contains(self, v: Sequence) -> bool:
+        """Whether v lies in the subspace: it leaves no residual."""
+        return not any(self.residual(v))
+
+    def adjoin(self, residual: Sequence[int]) -> "Subspace":
+        """The span of the subspace and a nonzero residual of it. The
+        residual, made primitive with a positive pivot, is zero at every
+        pivot column, so clearing its pivot column from the other rows
+        keeps them canonical; it is inserted by pivot."""
+        new = primitive_line(residual)
+        col = next(i for i, x in enumerate(new) if x)
+        rows = [_clear(r, new, col) if r[col] else r for r in self.int_rows]
+        at = sum(1 for p in self.pivots if p < col)
+        rows.insert(at, new)
+        return Subspace(
+            self.ambient,
+            tuple(map(tuple, rows)),
+            self.pivots[:at] + (col,) + self.pivots[at:],
+        )
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.int_rows)
@@ -219,35 +265,58 @@ def intersect(u: Subspace, v: Subspace) -> Subspace:
         return v
     if v.is_full():
         return u
-    d = u.ambient
-    # coefficients (a, b) with a.U = b.V; the kernel's a-part maps onto U n V
-    eqs = [
-        tuple(r[i] for r in u.int_rows) + tuple(-r[i] for r in v.int_rows)
-        for i in range(d)
-    ]
-    vecs = [
-        tuple(sum(k[j] * r[i] for j, r in enumerate(u.int_rows)) for i in range(d))
-        for k in nullspace(eqs, u.dim + v.dim)
-    ]
-    return span(vecs, d)
+    if u.dim > v.dim:
+        u, v = v, u
+    # x -> Q x - sum_c x[c] (Q / q_c) r_c over V's rows r_c with pivot q_c
+    # at column c, Q = lcm of the q_c: linear, integral, zero on V's pivot
+    # columns and zero exactly on V; only its free columns are kept
+    q = lcm(*(r[c] for r, c in zip(v.int_rows, v.pivots)))
+    scaled = [(c, q // r[c], r) for r, c in zip(v.int_rows, v.pivots)]
+    pivots = set(v.pivots)
+    free = [f for f in range(u.ambient) if f not in pivots]
+    rows = []
+    for x in u.int_rows:
+        res = [q * x[f] for f in free]
+        for c, m, r in scaled:
+            if x[c]:
+                m *= x[c]
+                res = [a - m * r[f] for a, f in zip(res, free)]
+        rows.append(res + list(x))
+    k = len(free)
+    if not any(any(row[:k]) for row in rows):
+        return u
+    if len(rows) == 1:
+        return Subspace.zero(u.ambient)  # a line with a nonzero residual
+    # the rows (res(x) | x) span {(res(x), x) : x in U}; its echelon rows
+    # with a pivot past the residual block are (0 | x) for x in U n V, and
+    # are canonical there
+    red, cols = _echelon(rows, k + u.ambient)
+    inside = [i for i, c in enumerate(cols) if c >= k]
+    return Subspace(
+        u.ambient,
+        tuple(red[i][k:] for i in inside),
+        tuple(cols[i] - k for i in inside),
+    )
 
 
 def extend_basis(
     spanned: Subspace, target: Subspace, need: int, prefer: Subspace | None = None
-) -> list[IntRow]:
+) -> tuple[list[IntRow], Subspace]:
     """At most `need` integer echelon rows of `target` that are independent
     modulo `spanned`, taken greedily: the rows of target n prefer first,
-    then those of target."""
+    then those of target. Returned with the span of `spanned` and the rows,
+    which grows by one adjoined residual per row taken."""
     pools = [target] if prefer is None else [intersect(target, prefer), target]
     rows: list[IntRow] = []
     for pool in pools:
         for cand in pool.int_rows:
             if len(rows) == need:
-                return rows
-            if not spanned.contains(cand):
+                return rows, spanned
+            res = spanned.residual(cand)
+            if any(res):
                 rows.append(cand)
-                spanned = subspace_sum(spanned, span([cand], spanned.ambient))
-    return rows
+                spanned = spanned.adjoin(res)
+    return rows, spanned
 
 
 def matrix_rank(rows: Iterable[Sequence]) -> int:
@@ -386,6 +455,24 @@ class NonUnimodularError(ValueError):
     def __init__(self, determinant):
         self.determinant = determinant
         super().__init__(f"matrix has determinant {determinant}, expected +-1")
+
+
+def unimodular_inverse(matrix: Sequence[Sequence[int]]) -> tuple[IntRow, ...]:
+    """Rows of the integer inverse of a unimodular square integer matrix A,
+    from one Gauss-Jordan pass over [A | I]; raises NonUnimodularError
+    otherwise. The canonical row i is (e_i | row i of the inverse) times the
+    lcm of that row's denominators, so every pivot is 1 exactly when the
+    inverse is integral, that is when det A = +-1."""
+    n = len(matrix)
+    if any(len(r) != n for r in matrix):
+        raise ValueError("inverse of a non-square matrix")
+    rows, pivots = _echelon(
+        [tuple(r) + tuple(int(i == j) for j in range(n)) for i, r in enumerate(matrix)],
+        2 * n,
+    )
+    if pivots[:n] != tuple(range(n)) or any(r[i] != 1 for i, r in enumerate(rows)):
+        raise NonUnimodularError(det(matrix))
+    return tuple(r[n:] for r in rows)
 
 
 def solve_integer_system(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[int, ...]:

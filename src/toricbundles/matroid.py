@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property, total_ordering
+from math import lcm
 
 from .bundle import (
     IncompatibilityWitness,
@@ -30,6 +31,7 @@ from .linalg import (
     extend_basis,
     integer_rank,
     intersect,
+    primitive_line,
     rational_row,
     span,
 )
@@ -58,7 +60,13 @@ def build_lattice(bundle: ToricBundle, ray_indices=None) -> SubspaceLattice:
         filt = bundle.filtrations[i]
         values = [sp for _, sp in filt.steps] + [Subspace.zero(r)]
         current = {intersect(w, v) for w in current for v in values} | current
-    elements = tuple(sorted(current, key=lambda w: w.sort_key()))
+    # sort_key order without building Fractions: every reduced row times the
+    # lcm of all the pivots is an integer row, and the common scale keeps
+    # the lexicographic order of the reduced rows
+    scale = lcm(*(row[c] for w in current for row, c in zip(w.int_rows, w.pivots)))
+    elements = tuple(sorted(current, key=lambda w: (w.dim, tuple(
+        tuple(x * (scale // row[c]) for x in row) for row, c in zip(w.int_rows, w.pivots)
+    ))))
     return SubspaceLattice(ambient=r, elements=elements)
 
 
@@ -99,13 +107,14 @@ class GroundSet:
         return tuple(i for i, g in enumerate(self.rows) if w.contains(g))
 
     @cached_property
-    def _lines(self) -> dict[Subspace, int]:
-        return {span([g], self.ambient): i for i, g in enumerate(self.rows)}
+    def _lines(self) -> dict[IntRow, int]:
+        return {g: i for i, g in enumerate(self.rows)}
 
     def index_of_line(self, v) -> int | None:
         """The element spanning the line of v; the sweep never appends two
-        parallel vectors."""
-        return self._lines.get(span([v], self.ambient))
+        parallel vectors. Each ground vector is an echelon row, so it is
+        already the primitive row of its line with a positive first entry."""
+        return self._lines.get(primitive_line(v))
 
 
 def ground_set(
@@ -132,7 +141,7 @@ def ground_set(
             need = v_elt.dim - spanned.dim
             if need == 0:
                 continue
-            added = extend_basis(spanned, v_elt, need, prefer)
+            added, _ = extend_basis(spanned, v_elt, need, prefer)
             assert len(added) == need
             rows.extend(added)
             steps.extend([v_elt] * need)

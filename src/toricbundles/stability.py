@@ -30,6 +30,9 @@ class Polarization:
 
 def validate_polarization(fan: Fan, weights) -> Polarization:
     """Nonnegative weights with exact balance and spanning positivity."""
+    weights = tuple(weights)
+    if any(isinstance(x, float) for x in weights):
+        raise TypeError(f"float weight in {weights}: give ints or Fractions")
     t = tuple(Fraction(x) for x in weights)
     if len(t) != len(fan.rays):
         raise PolarizationError(

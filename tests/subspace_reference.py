@@ -5,7 +5,8 @@ ground-set bitmasks, and profile multiplicities from finite differences over
 a zero-pruned intersection walk. These are the earlier routes through
 `Subspace.contains`, `intersect`, `Fraction` echelon forms and inclusion-
 exclusion over every level tuple, which the differential tests compare
-against, plus the seeded random-subspace slope probe, the `Fraction`
+against, plus the seeded random-subspace slope probe, the basis extension
+that re-eliminated after every row it took, the `Fraction`
 reduced echelon kernel (`_rref`, `reduce`, `contains` and the `rref_*`
 routes built on it) that the integer echelon rows of `linalg.Subspace` and
 `integer_rank` are checked against, and the per-dimension facet volumes
@@ -37,6 +38,7 @@ from toricbundles.linalg import (
     orthogonal_lattice_basis,
     solve_rational_system,
     span,
+    subspace_sum,
 )
 from toricbundles.matroid import bundle_ground_set, is_compatible_flat
 from toricbundles.polytopes import HPolytope, convex_polygon
@@ -138,6 +140,21 @@ def rref_intersect(u_rows, v_rows, width):
             for i in range(width)
         ))
     return rref_span(vecs, width)
+
+
+def extend_basis(spanned, target, need, prefer=None):
+    """`linalg.extend_basis` as a loop of membership tests and subspace
+    sums, one fresh elimination per row taken; returns the rows only."""
+    pools = [target] if prefer is None else [intersect(target, prefer), target]
+    rows = []
+    for pool in pools:
+        for cand in pool.int_rows:
+            if len(rows) == need:
+                return rows
+            if not spanned.contains(cand):
+                rows.append(cand)
+                spanned = subspace_sum(spanned, span([cand], spanned.ambient))
+    return rows
 
 
 def rref_solve(matrix, rhs):

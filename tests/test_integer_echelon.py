@@ -2,15 +2,20 @@
 reference in `subspace_reference.py`: on random rational matrices with zero,
 duplicate and dependent rows and negative leading entries, every result
 must match the reference's exactly, and the integer kernel must build no
-`Fraction` before the reduced rows are read."""
+`Fraction` before the reduced rows are read. The incremental routes (an
+adjoined residual, basis extension, residual intersection, one inverse per
+cone) are checked against the eliminations they replace."""
 from fractions import Fraction
+from itertools import product
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from generators import blown_up_p3, hexagon, hirzebruch, p1_cubed, projective_space
 from subspace_reference import (
     contains as reference_contains,
+    extend_basis as reference_extend_basis,
     rref_intersect,
     rref_nullspace,
     rref_solve,
@@ -18,14 +23,21 @@ from subspace_reference import (
 )
 
 from toricbundles import linalg
-from toricbundles.bundle import check_compatibility
+from toricbundles.bundle import check_compatibility, tangent_bundle
 from toricbundles.linalg import (
+    NonUnimodularError,
+    Subspace,
+    det,
+    dot,
+    extend_basis,
     integer_row,
     intersect,
     nullspace,
+    solve_integer_system,
     solve_rational_system,
     span,
     subspace_sum,
+    unimodular_inverse,
 )
 
 from conftest import fixture_path
@@ -149,6 +161,124 @@ def test_solve_rational_system_matches_the_reference(data):
     matrix = data.draw(rows_of_width(n, max_rows=n).filter(lambda m: len(m) == n))
     rhs = data.draw(st.tuples(*[rationals] * n))
     assert solve_rational_system(matrix, rhs) == rref_solve(matrix, rhs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=matrices(), data=st.data())
+def test_adjoining_residuals_builds_the_span(case, data):
+    width, rows = case
+    probes = data.draw(st.lists(st.tuples(*[rationals] * width), max_size=3))
+    grown, seen = Subspace.zero(width), []
+    for v in rows + probes:
+        seen.append(v)
+        res = grown.residual(v)
+        assert not any(res[c] for c in grown.pivots)
+        if any(res):
+            grown = grown.adjoin(res)
+        expected = span(seen, width)
+        assert grown == expected and hash(grown) == hash(expected)
+        assert grown.pivots == expected.pivots
+    assert grown.rows == rref_span(seen, width)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=matrix_pairs(), data=st.data())
+def test_extend_basis_takes_the_rows_of_the_reference_loop(case, data):
+    width, rows_s, rows_t = case
+    spanned, target = span(rows_s, width), span(rows_t, width)
+    # a preference that shares some of the target's lines
+    shared = data.draw(st.lists(st.sampled_from(rows_t), max_size=2)) if rows_t else []
+    prefer = span(shared + data.draw(rows_of_width(width, max_rows=2)), width)
+    need = data.draw(st.integers(0, width))
+    for pref in (None, prefer):
+        rows, grown = extend_basis(spanned, target, need, pref)
+        assert rows == reference_extend_basis(spanned, target, need, pref)
+        assert grown == span(spanned.int_rows + tuple(rows), width)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=matrix_pairs(),
+       relation=st.sampled_from(("random", "u_in_v", "v_in_u", "transverse")))
+def test_intersect_matches_the_reference_in_every_position(case, relation):
+    width, rows_u, rows_v = case
+    if relation == "u_in_v":
+        rows_v = rows_v + rows_u
+    elif relation == "v_in_u":
+        rows_u = rows_u + rows_v
+    elif relation == "transverse":
+        # keep the rows of V that stay independent of U and the rows kept
+        kept = []
+        for r in rows_v:
+            if len(rref_span(rows_u + kept + [r], width)) > len(rref_span(rows_u + kept, width)):
+                kept.append(r)
+        rows_v = kept
+    u, v = span(rows_u, width), span(rows_v, width)
+    expected = rref_intersect(rref_span(rows_u, width), rref_span(rows_v, width), width)
+    if relation == "transverse":
+        assert expected == ()
+    # both orders: the smaller space is reduced modulo the larger either way
+    for a, b in ((u, v), (v, u)):
+        got = intersect(a, b)
+        assert got.rows == expected
+        assert got == span(expected, width) and hash(got) == hash(span(expected, width))
+
+
+CONE_FANS = {
+    "P2": projective_space(2), "P3": projective_space(3), "P4": projective_space(4),
+    "hexagon": hexagon(), "H0": hirzebruch(0), "H1": hirzebruch(1), "H2": hirzebruch(2),
+    "H3": hirzebruch(3), "p1_cubed": p1_cubed(), "blown_up_p3": blown_up_p3(),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(sorted(CONE_FANS)), data=st.data())
+def test_cone_inverse_gives_the_solved_characters(name, data):
+    fan = CONE_FANS[name]
+    for cone in fan.max_cones:
+        rays = [fan.rays[i] for i in cone]
+        inverse = unimodular_inverse(rays)
+        p = data.draw(st.tuples(*[st.integers(-6, 6)] * fan.dim))
+        assert tuple(dot(r, p) for r in inverse) == solve_integer_system(rays, p)
+        for q in product((0, 1), repeat=fan.dim):
+            assert tuple(dot(r, q) for r in inverse) == solve_integer_system(rays, q)
+
+
+@pytest.mark.parametrize("name", sorted(CONE_FANS))
+def test_sheet_characters_solve_each_cone(name):
+    fan = CONE_FANS[name]
+    sheet = check_compatibility(tangent_bundle(fan))
+    for cone, rows in zip(fan.max_cones, sheet.rows):
+        rays = [fan.rays[i] for i in cone]
+        for row in rows:
+            assert row.character == solve_integer_system(rays, row.profile)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_cone_inverse_rejects_exactly_the_non_unimodular(data):
+    n = data.draw(st.integers(1, 4))
+    matrix = data.draw(st.lists(
+        st.tuples(*[st.integers(-2, 2)] * n), min_size=n, max_size=n))
+    d = det(matrix)
+    if abs(d) != 1:
+        with pytest.raises(NonUnimodularError) as err:
+            unimodular_inverse(matrix)
+        assert err.value.determinant == d
+        return
+    inverse = unimodular_inverse(matrix)
+    columns = list(zip(*matrix))
+    for i, r in enumerate(inverse):
+        assert tuple(dot(r, c) for c in columns) == tuple(int(i == j) for j in range(n))
+
+
+def test_cone_inverse_rejects_a_non_unimodular_cone():
+    with pytest.raises(NonUnimodularError) as err:
+        unimodular_inverse([(1, 0), (1, 2)])
+    assert err.value.determinant == 2
+    with pytest.raises(NonUnimodularError):
+        unimodular_inverse([(1, 2), (2, 4)])
+    with pytest.raises(ValueError):
+        unimodular_inverse([(1, 0)])
 
 
 def test_length_mismatch_raises():

@@ -275,15 +275,40 @@ def test_cli_flats_walks_each_cone_of_p3_once(monkeypatch):
     assert len(walks) == 4
 
 
-def test_cli_flats_solves_only_the_sheet_characters(monkeypatch):
-    from toricbundles import bundle
+# Eliminations (`linalg._echelon`) that check_compatibility makes on a fresh
+# p3_tangent bundle. Each of the 4 cones walks its intersections, splits by
+# adjoining residuals and inverts its ray matrix once; eliminating afresh for
+# every sum, intersection and character made 76.
+P3_TANGENT_ELIMINATIONS = 30
 
-    solves = _record_calls(monkeypatch, bundle, "solve_integer_system")
-    code, _, _ = run_cli(["flats", fixture_path("p3_tangent")])
-    assert code == 0
-    # one character per line of each of the 4 cones; the preferred splits
-    # behind the compatible-flat marks solve none
-    assert len(solves) == 3 * 4
+
+def test_check_compatibility_on_p3_makes_few_eliminations(monkeypatch):
+    import subspace_reference
+    from toricbundles import check_compatibility, linalg, load_document
+
+    bundle = load_document(fixture_path("p3_tangent")).bundle
+    eliminations = []
+    checking = []
+    echelon, verify = linalg._echelon, subspace_reference.verify_cone_split
+
+    def counted(*args):
+        if not checking:
+            eliminations.append(args)
+        return echelon(*args)
+
+    def verify_uncounted(*args):
+        # the session's sum-condition check on each split still runs; its
+        # own eliminations are not the package's
+        checking.append(True)
+        try:
+            return verify(*args)
+        finally:
+            checking.pop()
+
+    monkeypatch.setattr(linalg, "_echelon", counted)
+    monkeypatch.setattr(subspace_reference, "verify_cone_split", verify_uncounted)
+    check_compatibility(bundle)
+    assert len(eliminations) <= P3_TANGENT_ELIMINATIONS
 
 
 def test_cli_parliament_with_wall_reuses_the_bundle_analysis(tmp_path, monkeypatch):

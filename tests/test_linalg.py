@@ -23,6 +23,19 @@ def test_span_standard_basis():
     assert w.is_full() and w.dim == 2
 
 
+def test_float_entries_are_rejected():
+    with pytest.raises(TypeError):
+        span([(0.1, 1)], 2)
+    with pytest.raises(TypeError):
+        span([(Fraction(1, 2), 1.0)], 2)
+    line = span([(1, 0)], 2)
+    with pytest.raises(TypeError):
+        line.contains((0.5, 0))
+    with pytest.raises(TypeError):
+        line.contains((1.0, 0))
+    assert line.contains((Fraction(1, 2), 0))
+
+
 def test_span_empty():
     w = span([], 3)
     assert w.is_zero() and w.dim == 0

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from subspace_reference import is_subbundle as reference_is_subbundle
+from test_exact_split import basis_bundles
 
-from toricbundles.bundle import line_bundle
+from toricbundles.bundle import check_compatibility, line_bundle
 from toricbundles.fan import Fan
 from toricbundles.linalg import Subspace, intersect, span
 from toricbundles.matroid import (
@@ -71,6 +72,13 @@ def test_lattice_intersection_closed(p2_rank3):
             assert intersect(a, b) in elements
 
 
+@settings(max_examples=60, deadline=None)
+@given(case=basis_bundles())
+def test_lattice_is_in_reduced_row_order(case):
+    elements = build_lattice(case[0]).elements
+    assert list(elements) == sorted(elements, key=Subspace.sort_key)
+
+
 def test_lattice_restricted_to_cone_rays(p2_rank3):
     lat = build_lattice(p2_rank3.bundle, ray_indices=[1, 2])
     full = build_lattice(p2_rank3.bundle)
@@ -99,6 +107,22 @@ def test_ground_set_lines_of_tangent(p2_tangent):
     gs = bundle_ground_set(p2_tangent.bundle)
     lines = {span([v], 2) for v in gs.vectors}
     assert lines == {span([r], 2) for r in p2_tangent.fan.rays}
+
+
+@settings(max_examples=50, deadline=None)
+@given(scale=st.fractions(-3, 3).filter(bool), data=st.data())
+def test_index_of_line_matches_the_span_lookup(documents, scale, data):
+    name = data.draw(st.sampled_from(sorted(documents)))
+    bundle = documents[name].bundle
+    gs = bundle_ground_set(bundle)
+    lines = {span([g], gs.ambient): i for i, g in enumerate(gs.rows)}
+    probes = [tuple(scale * x for x in v) for v in gs.vectors]
+    probes += [row.vector for rows in check_compatibility(bundle).rows for row in rows]
+    probes.append(data.draw(st.tuples(*[st.integers(-2, 2)] * gs.ambient)))
+    for v in probes:
+        expected = lines.get(span([v], gs.ambient))
+        assert gs.index_of_line(v) == expected
+    assert gs.index_of_line((0,) * gs.ambient) is None
 
 
 def test_closure_examples(p2_tangent):

@@ -141,6 +141,13 @@ def test_validate_polarization_accepts_uniform():
     assert pol.weights == (1, 1, 1)
 
 
+def test_validate_polarization_rejects_floats():
+    with pytest.raises(TypeError):
+        validate_polarization(P2_FAN, (1.0, 1, 1))
+    with pytest.raises(TypeError):
+        validate_polarization(P2_FAN, iter((1, 1, 0.5)))
+
+
 def test_validate_polarization_rejects_unbalanced():
     with pytest.raises(PolarizationError) as err:
         validate_polarization(P2_FAN, (1, 1, 2))
