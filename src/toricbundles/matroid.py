@@ -64,9 +64,13 @@ def build_lattice(bundle: ToricBundle, ray_indices=None) -> SubspaceLattice:
     # lcm of all the pivots is an integer row, and the common scale keeps
     # the lexicographic order of the reduced rows
     scale = lcm(*(row[c] for w in current for row, c in zip(w.int_rows, w.pivots)))
-    elements = tuple(sorted(current, key=lambda w: (w.dim, tuple(
-        tuple(x * (scale // row[c]) for x in row) for row, c in zip(w.int_rows, w.pivots)
-    ))))
+
+    def order(w):
+        return w.dim, tuple(
+            tuple(x * (scale // row[c]) for x in row) for row, c in zip(w.int_rows, w.pivots)
+        )
+
+    elements = tuple(sorted(current, key=order))
     return SubspaceLattice(ambient=r, elements=elements)
 
 
