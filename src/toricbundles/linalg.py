@@ -403,9 +403,9 @@ def is_primitive(v: Sequence[int]) -> bool:
     return g == 1
 
 
-def integer_kernel_basis(rows: Sequence[Sequence[int]], width: int) -> list[tuple[int, ...]]:
-    """Basis of the lattice {x in Z^width : M x = 0}, by unimodular column
-    reduction; the returned vectors extend to a basis of Z^width."""
+def _unimodular_columns(rows: Sequence[Sequence[int]], width: int) -> tuple[list[list[int]], int]:
+    """(columns of a unimodular matrix U, rank k of M) by unimodular column
+    reduction: M U has nonzero columns only among its first k."""
     mat = [tuple(int(x) for x in r) for r in rows]
     cols = [[1 if i == j else 0 for i in range(width)] for j in range(width)]
     fixed = 0
@@ -432,11 +432,20 @@ def integer_kernel_basis(rows: Sequence[Sequence[int]], width: int) -> list[tupl
             j0 = nz[0]
             cols[fixed], cols[j0] = cols[j0], cols[fixed]
             fixed += 1
+    return cols, fixed
+
+
+def integer_kernel_basis(rows: Sequence[Sequence[int]], width: int) -> list[tuple[int, ...]]:
+    """Basis of the lattice {x in Z^width : M x = 0}, by unimodular column
+    reduction; the returned vectors extend to a basis of Z^width."""
+    cols, fixed = _unimodular_columns(rows, width)
     return [tuple(c) for c in cols[fixed:]]
 
 
-def orthogonal_lattice_basis(v: Sequence[int], d: int) -> list[tuple[int, ...]]:
-    """Lattice basis of {m in Z^d : <m, v> = 0} for a primitive vector v."""
+def lattice_frame(v: Sequence[int], d: int) -> tuple[IntRow, list[IntRow]]:
+    """(w, B) for a primitive vector v: an integer w with <v, w> = 1 and a
+    lattice basis B of {m in Z^d : <m, v> = 0}. Together they form a basis
+    of Z^d: the columns of the unimodular column reduction of the row v."""
     vv = tuple(int(x) for x in v)
     if len(vv) != d:
         raise ValueError(f"expected a vector of length {d}")
@@ -444,9 +453,17 @@ def orthogonal_lattice_basis(v: Sequence[int], d: int) -> list[tuple[int, ...]]:
         raise ValueError("orthogonal lattice of the zero vector is undefined")
     if not is_primitive(vv):
         raise ValueError(f"{vv} is not primitive")
-    basis = integer_kernel_basis([vv], d)
-    assert len(basis) == d - 1
-    return basis
+    cols, fixed = _unimodular_columns([vv], d)
+    assert fixed == 1
+    w = tuple(cols[0])
+    if dot(vv, w) < 0:  # the reduction leaves <v, w> = +-gcd(v) = +-1
+        w = tuple(-x for x in w)
+    return w, [tuple(c) for c in cols[1:]]
+
+
+def orthogonal_lattice_basis(v: Sequence[int], d: int) -> list[tuple[int, ...]]:
+    """Lattice basis of {m in Z^d : <m, v> = 0} for a primitive vector v."""
+    return lattice_frame(v, d)[1]
 
 
 class NonUnimodularError(ValueError):

@@ -141,7 +141,15 @@ def ground_set(
         if shuffle is not None:
             shuffle.shuffle(group)
         for v_elt in group:
-            spanned = span([g for g in rows if v_elt.contains(g)], r)
+            # the span of the rows already inside, grown by their residuals
+            spanned = Subspace.zero(r)
+            for g in rows:
+                if spanned.dim == v_elt.dim:
+                    break
+                if v_elt.contains(g):
+                    res = spanned.residual(g)
+                    if any(res):
+                        spanned = spanned.adjoin(res)
             need = v_elt.dim - spanned.dim
             if need == 0:
                 continue

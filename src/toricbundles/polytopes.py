@@ -1,9 +1,13 @@
 """H-polytopes over a fan's ray normals: vertices, lattice points, emptiness.
 
-A polytope is { m : <m, v_i> <= c_i } with one rational bound per ray.
-Whenever the rays positively span (guaranteed by fan validation) these are
-bounded, so emptiness coincides with having no basic feasible solution and
-vertex enumeration over ray-subsets is exhaustive.
+A polytope is { m : <m, v_i> <= c_i } with one rational bound per ray (ints
+or Fractions; a float is a ``TypeError``). Whenever the rays positively span
+(guaranteed by fan validation) these are bounded, so emptiness coincides
+with having no basic feasible solution and vertex enumeration over
+ray-subsets is exhaustive. Vertices are found in integers: the bounds are
+scaled to integers once, each d-subset is solved by integer elimination, and
+containment is tested with integer dot products; only the vertices kept
+become Fractions.
 """
 from __future__ import annotations
 
@@ -12,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .fan import Fan
-from .linalg import Vector, dot, integer_rank, solve_rational_system
+from .linalg import Vector, _solve, dot
 
 
 class HPolytope:
@@ -20,6 +24,9 @@ class HPolytope:
 
     def __init__(self, rays, bounds):
         self.rays = tuple(tuple(int(x) for x in r) for r in rays)
+        bounds = tuple(bounds)
+        if any(isinstance(c, float) for c in bounds):
+            raise TypeError(f"float bound in {bounds}: give ints or Fractions")
         self.bounds = tuple(Fraction(c) for c in bounds)
         if len(self.rays) != len(self.bounds):
             raise ValueError("one bound per ray required")
@@ -35,18 +42,29 @@ class HPolytope:
         )
 
     def vertices(self) -> tuple[Vector, ...]:
-        """Basic feasible solutions of d-subsets with independent normals."""
+        """Basic feasible solutions of d-subsets with independent normals.
+
+        With the bounds times their common denominator s as integers C, a
+        d-subset's solution of <m, v_i> = C_i is p / q (integer p, q > 0),
+        and the vertex is p / (q s); it is feasible when <p, v> <= q C_v
+        for every ray v."""
         if self._vertices is None:
             d = self.dim
+            s = math.lcm(*(c.denominator for c in self.bounds))
+            scaled = [c.numerator * (s // c.denominator) for c in self.bounds]
             seen = set()
             for sub in combinations(range(len(self.rays)), d):
-                rows = [self.rays[i] for i in sub]
-                if integer_rank(rows) < d:
+                sol = _solve([self.rays[i] for i in sub], [scaled[i] for i in sub])
+                if sol is None:
                     continue
-                pt = solve_rational_system(rows, [self.bounds[i] for i in sub])
-                if pt is not None and self.contains(pt):
-                    seen.add(pt)
-            self._vertices = tuple(sorted(seen))
+                q = math.lcm(*(den for _, den in sol))
+                p = [num * (q // den) for num, den in sol]
+                if all(dot(p, v) <= q * c for v, c in zip(self.rays, scaled)):
+                    g = math.gcd(q, *p)
+                    seen.add((tuple(x // g for x in p), q // g))
+            self._vertices = tuple(sorted(
+                tuple(Fraction(x, q * s) for x in p) for p, q in seen
+            ))
         return self._vertices
 
     def is_empty(self) -> bool:
@@ -87,7 +105,7 @@ class HPolytope:
 
 def newton_polytope(fan: Fan, coefficients) -> HPolytope:
     """Polytope of a divisor sum a_i D_i: bounds c_i = a_i."""
-    coeffs = [Fraction(a) for a in coefficients]
+    coeffs = tuple(coefficients)
     if len(coeffs) != len(fan.rays):
         raise ValueError("one divisor coefficient per ray required")
     return HPolytope(fan.rays, coeffs)

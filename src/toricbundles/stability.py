@@ -2,8 +2,11 @@
 
 A polarization enters purely through its ray weights t_i >= 0 with the exact
 Minkowski balance sum t_i v_i = 0 and positivity on a spanning ray set.
-Slopes are exact rationals; the stability verdict compares every proper
-nonzero flat's slope against the bundle's.
+A divisor's weights are the normalized facet volumes of its polytope, from
+a recursion over facets in integer lattice frames that needs no vertices
+(`_lattice_volume`, `_facet_volume`). Slopes are exact rationals; the
+stability verdict compares every proper nonzero flat's slope against the
+bundle's.
 """
 from __future__ import annotations
 
@@ -13,8 +16,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .bundle import ToricBundle, check_compatibility
-from .fan import Fan, FanError, Wall, positively_spans, wall_normal
-from .linalg import Subspace, intersect, orthogonal_lattice_basis, subspace_sum
+from .fan import Fan, FanError, Wall, positively_spans, validate_fan, wall_normal
+from .linalg import Subspace, intersect, lattice_frame, subspace_sum
 from .matroid import Flat, _mask, bundle_ground_set, proper_nonzero_flats
 from .polytopes import HPolytope, newton_polytope
 
@@ -29,7 +32,10 @@ class Polarization:
 
 
 def validate_polarization(fan: Fan, weights) -> Polarization:
-    """Nonnegative weights with exact balance and spanning positivity."""
+    """Nonnegative weights with exact balance and spanning positivity.
+
+    When every weight is positive the spanning rays are all the rays, so the
+    answer is the fan's own positive-span check, kept on its report."""
     weights = tuple(weights)
     if any(isinstance(x, float) for x in weights):
         raise TypeError(f"float weight in {weights}: give ints or Fractions")
@@ -40,63 +46,102 @@ def validate_polarization(fan: Fan, weights) -> Polarization:
         )
     if any(x < 0 for x in t):
         raise PolarizationError("weights must be nonnegative")
-    balance = tuple(
-        sum((ti * Fraction(v[i]) for ti, v in zip(t, fan.rays)), Fraction(0))
-        for i in range(fan.dim)
-    )
-    if any(x != 0 for x in balance):
+    den = lcm(*(x.denominator for x in t))
+    scaled = [x.numerator * (den // x.denominator) for x in t]
+    balance = [sum(n * v[i] for n, v in zip(scaled, fan.rays)) for i in range(fan.dim)]
+    if any(balance):
+        balance = tuple(Fraction(x, den) for x in balance)
         raise PolarizationError(
             f"weights violate the Minkowski balance: sum t_i v_i = {balance}"
         )
     positive_rays = [v for ti, v in zip(t, fan.rays) if ti > 0]
-    if not positively_spans(positive_rays, fan.dim):
+    if len(positive_rays) == len(fan.rays):
+        spanning = validate_fan(fan).positively_spanning
+    else:
+        spanning = positively_spans(positive_rays, fan.dim)
+    if not spanning:
         raise PolarizationError(
             "rays with positive weight do not positively span"
         )
     return Polarization(weights=t)
 
 
-def _lattice_volume(halfspaces: dict, dim: int) -> Fraction:
+def _lattice_volume(halfspaces: dict, dim: int):
     """Lattice-normalized volume (dim! times the Euclidean volume) of the
     bounded polytope {y in Q^dim : <a, y> <= b for (a, b) in halfspaces}, whose
     normals are distinct and primitive. The pyramids over the facets from the
-    origin give dim! vol(P) = sum b Vol(F_a), with b the lattice distance."""
+    origin give dim! vol(P) = sum b Vol(F_a), with b the lattice distance.
+
+    It is 0 for an empty polytope, by induction on dim. An interval
+    -b' <= y <= b has volume max(b + b', 0), which is 0 when it is empty; a
+    point (a facet of a 1-dimensional fan's polytope) has volume 1 or 0 as
+    it meets the bounds parallel to its facet or not, and `_facet_volume`
+    returns 0 at the first such bound it violates; and every facet of an
+    empty polytope is empty, so every term of the sum is 0. A nonempty
+    polytope of lower dimension gives 0 as well: in codimension 1 only the
+    two facets in its own hyperplane, with normals +-a and bounds b and -b,
+    can have positive volume, and they are the same set; in higher
+    codimension every facet is itself lower-dimensional.
+    """
     if dim == 0:
-        return Fraction(1)
+        return 1
+    if dim == 1:
+        # each end point of the interval is a facet of volume 1 when the
+        # other bound holds there
+        total = sum(halfspaces.values())
+        return max(total, 0) if len(halfspaces) == 2 else total
     return sum(b * _facet_volume(halfspaces, a, b) for a, b in halfspaces.items())
 
 
-def _facet_volume(halfspaces: dict, normal, bound) -> Fraction:
+def _divide(x, g: int):
+    """x / g: an int when g divides the int x, else a Fraction."""
+    if isinstance(x, int):
+        return x // g if x % g == 0 else Fraction(x, g)
+    return x / g
+
+
+def _facet_volume(halfspaces: dict, normal, bound):
     """Lattice-normalized volume of the face <normal, y> = bound: the same
-    problem one dimension down, in the coordinates m = x + B y of a rational
-    point x on the hyperplane and a lattice basis B of normal-perp."""
-    basis = orthogonal_lattice_basis(normal, len(normal))
-    norm = sum(a * a for a in normal)
-    x = [Fraction(bound * a, norm) for a in normal]
+    problem one dimension down, in the coordinates m = bound w + B y, with
+    (w, B) from `lattice_frame`: <normal, w> = 1 and B a lattice basis of
+    normal-perp. A bound b on a normal a becomes b - bound <a, w> on B^T a,
+    an integer when b and bound are; it is divided by g = gcd(B^T a) to make
+    the normal primitive, and only then can it leave the integers."""
+    w, basis = lattice_frame(normal, len(normal))
     facet: dict = {}
     for a, b in halfspaces.items():
         restricted = tuple(sum(ai * bi for ai, bi in zip(a, col)) for col in basis)
-        rest = b - sum(ai * xi for ai, xi in zip(a, x))
+        rest = b - bound * sum(ai * wi for ai, wi in zip(a, w))
         g = gcd(*restricted)
         if g == 0:
             if rest < 0:
-                return Fraction(0)
+                return 0
             continue
-        restricted = tuple(ai // g for ai in restricted)
-        facet[restricted] = min(rest / g, facet.get(restricted, rest / g))
+        if g != 1:
+            restricted = tuple(ai // g for ai in restricted)
+            rest = _divide(rest, g)
+        known = facet.get(restricted)
+        if known is None or rest < known:
+            facet[restricted] = rest
     return _lattice_volume(facet, len(basis))
 
 
 def weights_from_divisor(fan: Fan, coefficients) -> Polarization:
     """Polarization weights of a divisor: normalized facet volumes of its
     polytope. The polytope must be full-dimensional, which holds exactly
-    when sum c_i t_i = d! vol(P) is positive."""
+    when sum c_i t_i = d! vol(P) is positive. The weights are computed
+    first: an empty polytope has every t_i = 0 (see `_lattice_volume`), so
+    the vertices are enumerated only when the sum is 0, to tell an empty
+    polytope from a lower-dimensional one."""
     poly = newton_polytope(fan, coefficients)
-    if poly.is_empty():
-        raise PolarizationError("divisor polytope is empty; weights undefined")
-    halfspaces = dict(zip(poly.rays, poly.bounds))
+    halfspaces = {
+        ray: c.numerator if c.denominator == 1 else c
+        for ray, c in zip(poly.rays, poly.bounds)
+    }
     weights = [_facet_volume(halfspaces, ray, c) for ray, c in halfspaces.items()]
-    if sum(c * t for c, t in zip(poly.bounds, weights)) == 0:
+    if sum(c * t for c, t in zip(halfspaces.values(), weights)) == 0:
+        if poly.is_empty():
+            raise PolarizationError("divisor polytope is empty; weights undefined")
         raise PolarizationError(
             "divisor polytope is lower-dimensional; weights undefined"
         )

@@ -6,7 +6,8 @@ a zero-pruned intersection walk. These are the earlier routes through
 `Subspace.contains`, `intersect`, `Fraction` echelon forms and inclusion-
 exclusion over every level tuple, which the differential tests compare
 against, plus the seeded random-subspace slope probe, the basis extension
-that re-eliminated after every row it took, the `Fraction`
+that re-eliminated after every row it took, the ground-set sweep that
+spanned the rows inside each lattice element afresh, the `Fraction`
 reduced echelon kernel (`_rref`, `reduce`, `contains` and the `rref_*`
 routes built on it) that the integer echelon rows of `linalg.Subspace` and
 `integer_rank` are checked against, and the per-dimension facet volumes
@@ -29,6 +30,7 @@ from itertools import product
 import pytest
 
 from toricbundles import bundle as bundle_module
+from toricbundles import linalg
 from toricbundles import matroid as matroid_module
 from toricbundles.bundle import IncompatibilityWitness
 from toricbundles.linalg import (
@@ -155,6 +157,24 @@ def extend_basis(spanned, target, need, prefer=None):
                 rows.append(cand)
                 spanned = subspace_sum(spanned, span([cand], spanned.ambient))
     return rows
+
+
+def ground_set(lattice, prefer=None):
+    """(rows, steps) of `matroid.ground_set`, with the ground rows inside
+    each lattice element spanned afresh before they are extended."""
+    r = lattice.ambient
+    rows, steps = [], []
+    maxdim = max((w.dim for w in lattice.elements), default=0)
+    for k in range(1, maxdim + 1):
+        for v_elt in lattice.by_dimension(k):
+            spanned = span([g for g in rows if v_elt.contains(g)], r)
+            need = v_elt.dim - spanned.dim
+            if need == 0:
+                continue
+            added, _ = linalg.extend_basis(spanned, v_elt, need, prefer)
+            rows.extend(added)
+            steps.extend([v_elt] * need)
+    return tuple(rows), tuple(steps)
 
 
 def rref_solve(matrix, rhs):

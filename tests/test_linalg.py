@@ -8,7 +8,10 @@ from toricbundles.linalg import (
     Subspace,
     det,
     dot,
+    integer_kernel_basis,
     intersect,
+    is_primitive,
+    lattice_frame,
     nullspace,
     orthogonal_lattice_basis,
     solve_integer_system,
@@ -141,6 +144,22 @@ def test_orthogonal_lattice_basis_unimodular_extension():
                 break
         assert w is not None
         assert abs(det([list(w)] + [list(b) for b in basis])) == 1
+
+
+def test_lattice_frame_is_a_basis_with_a_unit_step_off_the_hyperplane():
+    rng = random.Random(7)
+    cases = [(1,), (-1,), (1, 0), (-1, -1), (2, -3), (1, 1, 1), (-6, 10, 15)]
+    while len(cases) < 60:
+        v = tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 5)))
+        if any(v) and is_primitive(v):
+            cases.append(v)
+    for v in cases:
+        w, basis = lattice_frame(v, len(v))
+        assert dot(v, w) == 1
+        assert basis == integer_kernel_basis([v], len(v))
+        assert abs(det([list(w)] + [list(b) for b in basis])) == 1
+    with pytest.raises(ValueError):
+        lattice_frame((2, 4), 2)
 
 
 def test_orthogonal_lattice_basis_rejects_bad_input():

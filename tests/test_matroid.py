@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from subspace_reference import ground_set as reference_ground_set
 from subspace_reference import is_subbundle as reference_is_subbundle
 from test_exact_split import basis_bundles
 
@@ -101,6 +102,26 @@ def test_ground_set_spans_every_lattice_element(documents):
         for w in lat.elements:
             inside = [gs.vectors[i] for i in gs.indices_in(w)]
             assert span(inside, gs.ambient) == w
+
+
+def test_ground_set_matches_the_fresh_span_sweep(documents):
+    for doc in documents.values():
+        lat = build_lattice(doc.bundle)
+        for prefer in (None,) + lat.elements:
+            gs = ground_set(lat, prefer=prefer)
+            assert (gs.rows, gs.steps) == reference_ground_set(lat, prefer)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=basis_bundles(), data=st.data())
+def test_ground_set_matches_the_fresh_span_sweep_on_basis_bundles(case, data):
+    bundle, basis = case
+    lat = build_lattice(bundle)
+    prefer = data.draw(st.sampled_from(
+        (None, span(basis[:1], bundle.rank), span(basis[1:], bundle.rank)) + lat.elements
+    ))
+    gs = ground_set(lat, prefer=prefer)
+    assert (gs.rows, gs.steps) == reference_ground_set(lat, prefer)
 
 
 def test_ground_set_lines_of_tangent(p2_tangent):

@@ -2,12 +2,17 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import polytope_reference
 import pytest
+from generators import blown_up_p3, hexagon, hirzebruch, p1_cubed, projective_space
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from subspace_reference import matrix_rank
 
 from toricbundles.fan import Fan
 from toricbundles.linalg import dot
 from toricbundles.polytopes import HPolytope, convex_polygon, newton_polytope
+from toricbundles.stability import weights_from_divisor
 
 P2_FAN = Fan(2, [(-1, -1), (1, 0), (0, 1)], [(0, 1), (0, 2), (1, 2)])
 BLP2_FAN = Fan(
@@ -96,6 +101,45 @@ def test_lattice_points_match_wide_box_scan():
             if all(dot(pt, ray) <= c for ray, c in zip(p.rays, p.bounds))
         }
         assert set(p.lattice_points()) == oracle
+
+
+def test_float_bounds_are_rejected():
+    with pytest.raises(TypeError, match="float"):
+        HPolytope(P2_FAN.rays, (0.5, 1, 1))
+    with pytest.raises(TypeError, match="float"):
+        HPolytope(P2_FAN.rays, iter((1, 1, 2.0)))
+    with pytest.raises(TypeError, match="float"):
+        newton_polytope(P2_FAN, [0.5, 1, 1])
+    # the float used to pass through as its exact binary value
+    with pytest.raises(TypeError, match="float"):
+        weights_from_divisor(P2_FAN, [0.5, 1, 1])
+    assert newton_polytope(P2_FAN, [Fraction(1, 2), 1, 1]).bounds == (Fraction(1, 2), 1, 1)
+
+
+VERTEX_FANS = (
+    P2_FAN,
+    BLP2_FAN,
+    hexagon(),
+    hirzebruch(0),
+    hirzebruch(3),
+    projective_space(3),
+    projective_space(4),
+    p1_cubed(),
+    blown_up_p3(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_vertices_match_the_fraction_reference(data):
+    fan = data.draw(st.sampled_from(VERTEX_FANS))
+    entry = st.one_of(
+        st.integers(-3, 3), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+    )
+    bounds = data.draw(st.lists(entry, min_size=len(fan.rays), max_size=len(fan.rays)))
+    p = HPolytope(fan.rays, bounds)
+    assert p.vertices() == polytope_reference.vertices(p)
+    assert all(isinstance(x, Fraction) for v in p.vertices() for x in v)
 
 
 def test_translate_shifts_vertices():

@@ -6,6 +6,7 @@ import pytest
 from generators import blown_up_p3, hexagon, hirzebruch, p1_cubed, projective_space
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import polytope_reference
 from subspace_reference import _facet_normalized_volume, brute_force_max_slope
 
 from toricbundles.bundle import (
@@ -13,11 +14,13 @@ from toricbundles.bundle import (
     line_bundle,
     twist_by_divisor,
 )
-from toricbundles.fan import Fan, FanError, walls
+from toricbundles import fan as fan_module
+from toricbundles import stability as stability_module
+from toricbundles.fan import Fan, FanError, positively_spans, validate_fan, walls
 from toricbundles.linalg import Subspace, span
 from toricbundles.matroid import bundle_ground_set, proper_nonzero_flats
 from toricbundles.parliament import average_polytope
-from toricbundles.polytopes import newton_polytope
+from toricbundles.polytopes import HPolytope, newton_polytope
 from toricbundles.stability import (
     Order,
     _facet_volume,
@@ -134,6 +137,115 @@ def test_weights_reject_a_segment_polytope_with_facets_of_volume_one():
     assert _facet_volumes(fan, (0, 1, 0, 0)) == [1, 0, 1, 0]
     with pytest.raises(PolarizationError, match="lower-dimensional"):
         weights_from_divisor(fan, (0, 1, 0, 0))
+
+
+DIFFERENTIAL_FANS = (
+    hexagon(),
+    hirzebruch(0),
+    hirzebruch(1),
+    hirzebruch(2),
+    hirzebruch(3),
+    projective_space(2),
+    projective_space(3),
+    projective_space(4),
+    p1_cubed(),
+    blown_up_p3(),
+)
+
+
+@st.composite
+def differential_divisors(draw):
+    """(fan, coefficients): ints in -3..3 or Fractions p/q with q <= 3 (often
+    empty or lower-dimensional), or a multiple of the all-ones divisor moved
+    by a character and perturbed on one ray (full-dimensional or nearly)."""
+    fan = draw(st.sampled_from(DIFFERENTIAL_FANS))
+    n = len(fan.rays)
+    if draw(st.booleans()):
+        entry = st.one_of(
+            st.integers(-3, 3), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+        )
+        return fan, draw(st.lists(entry, min_size=n, max_size=n))
+    c = draw(st.integers(1, 3))
+    u = draw(st.lists(st.integers(-2, 2), min_size=fan.dim, max_size=fan.dim))
+    coeffs = [c + sum(a * b for a, b in zip(u, ray)) for ray in fan.rays]
+    k = draw(st.integers(0, n - 1))
+    coeffs[k] += draw(st.sampled_from((0, -c, Fraction(-c, 2), Fraction(1, 3))))
+    return fan, coeffs
+
+
+def _outcome(weights_of, fan, coeffs):
+    try:
+        return weights_of(fan, coeffs).weights
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=250, deadline=None)
+@given(case=differential_divisors())
+def test_weights_match_the_fraction_reference(case):
+    fan, coeffs = case
+    assert _outcome(weights_from_divisor, fan, coeffs) == _outcome(
+        polytope_reference.weights_from_divisor, fan, coeffs
+    )
+
+
+def test_weights_match_the_fraction_reference_on_degenerate_divisors():
+    cases = [
+        (P2_FAN, (-1, -1, -1)),  # empty
+        (P2_FAN, (0, 0, 0)),  # a point
+        (P2_FAN, (Fraction(-1, 2), Fraction(1, 3), Fraction(1, 6))),  # a point
+        (hirzebruch(0), (0, 1, 0, 0)),  # a segment
+        (hirzebruch(0), (Fraction(1, 2), 1, Fraction(-1, 2), 0)),  # a segment
+        (projective_space(3), (1, 0, 0, -1)),  # a triangle
+        (p1_cubed(), (1, 0, 0, 0, 1, -1)),  # empty
+        (p1_cubed(), (0, 0, 1, 0, 1, 0)),  # a segment
+    ]
+    for fan, coeffs in cases:
+        got = _outcome(weights_from_divisor, fan, coeffs)
+        assert got == _outcome(polytope_reference.weights_from_divisor, fan, coeffs)
+        assert got[0] is PolarizationError
+
+
+def test_full_dimensional_divisors_enumerate_no_vertices(monkeypatch):
+    calls = []
+    original = HPolytope.vertices
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(HPolytope, "vertices", counted)
+    for fan in DIFFERENTIAL_FANS:
+        weights_from_divisor(fan, (1,) * len(fan.rays))
+        weights_from_divisor(fan, (Fraction(1, 2),) * len(fan.rays))
+    assert calls == []
+    with pytest.raises(PolarizationError, match="empty"):
+        weights_from_divisor(P2_FAN, (-1, -1, -1))
+    assert len(calls) == 1
+
+
+def test_positive_weights_on_a_validated_fan_reuse_its_positive_span(monkeypatch):
+    fans = [hexagon(), projective_space(3), blown_up_p3()]
+    for fan in fans:
+        validate_fan(fan)
+    calls = []
+
+    def counted(vectors, dim):
+        calls.append(len(vectors))
+        return positively_spans(vectors, dim)
+
+    monkeypatch.setattr(stability_module, "positively_spans", counted)
+    monkeypatch.setattr(fan_module, "positively_spans", counted)
+    for fan in fans:
+        pol = weights_from_divisor(fan, (1,) * len(fan.rays))
+        assert all(t > 0 for t in pol.weights)
+        validate_polarization(fan, [2 * t for t in pol.weights])
+    assert calls == []
+    # a zero weight leaves a smaller ray set, which is tested afresh
+    validate_polarization(fans[0], (1, 0, 1, 1, 0, 1))
+    with pytest.raises(PolarizationError, match="positively span"):
+        validate_polarization(fans[0], (1, 0, 0, 1, 0, 0))
+    assert calls == [4, 2]
 
 
 def test_validate_polarization_accepts_uniform():
