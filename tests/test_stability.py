@@ -2,11 +2,11 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import polytope_reference
 import pytest
 from generators import blown_up_p3, hexagon, hirzebruch, p1_cubed, projective_space
 from hypothesis import given, settings
 from hypothesis import strategies as st
-import polytope_reference
 from subspace_reference import _facet_normalized_volume, brute_force_max_slope
 
 from toricbundles.bundle import (
@@ -196,9 +196,12 @@ def test_weights_match_the_fraction_reference_on_degenerate_divisors():
         (P2_FAN, (Fraction(-1, 2), Fraction(1, 3), Fraction(1, 6))),  # a point
         (hirzebruch(0), (0, 1, 0, 0)),  # a segment
         (hirzebruch(0), (Fraction(1, 2), 1, Fraction(-1, 2), 0)),  # a segment
-        (projective_space(3), (1, 0, 0, -1)),  # a triangle
-        (p1_cubed(), (1, 0, 0, 0, 1, -1)),  # empty
-        (p1_cubed(), (0, 0, 1, 0, 1, 0)),  # a segment
+        (projective_space(3), (1, 0, 0, -1)),  # a point
+        (projective_space(4), (1, 0, 0, -1, -1)),  # empty
+        (p1_cubed(), (1, 0, 0, 0, 1, -1)),  # a segment
+        (p1_cubed(), (0, 0, 1, 0, 1, 0)),  # a square
+        (p1_cubed(), (1, -1, 0, 0, 1, -2)),  # empty
+        (blown_up_p3(), (0, 0, 0, 0, -1)),  # empty
     ]
     for fan, coeffs in cases:
         got = _outcome(weights_from_divisor, fan, coeffs)
