@@ -1,13 +1,14 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 from toricbundles.cli import main
 from toricbundles.io import SchemaError, dumps_report, format_rational, parse_document
 
-from conftest import FIXTURE_NAMES, fixture_path
+from conftest import FIXTURE_DIR, FIXTURE_NAMES, fixture_path
 
 
 def run_cli(args):
@@ -117,6 +118,26 @@ def test_cli_check_semistable_only():
     )
     assert code == 0
     assert out.startswith("SEMISTABLE")
+
+
+CHECK_TEXT_GOLDEN = Path(__file__).resolve().parent / "check_text.golden"
+
+
+def check_text_transcript():
+    """Text-format `check` and `check --semistable-only` on every fixture,
+    each output under a `$ ...` line naming its command."""
+    blocks = []
+    for path in sorted(FIXTURE_DIR.glob("*.json")):
+        for extra in ([], ["--semistable-only"]):
+            args = ["check", f"fixtures/{path.name}", *extra]
+            code, out, err = run_cli(["check", path, *extra])
+            assert (code, err) == (0, ""), args
+            blocks.append(f"$ toricbundles {' '.join(args)}\n{out}")
+    return "".join(blocks)
+
+
+def test_cli_check_text_matches_the_golden_transcript():
+    assert check_text_transcript().encode() == CHECK_TEXT_GOLDEN.read_bytes()
 
 
 def test_cli_check_json_round_trips():
