@@ -64,9 +64,6 @@ class Parliament:
     entries: tuple[ParliamentEntry, ...]
     marks: tuple[CharacterMark, ...]
 
-    def entry_polytope(self, index: int) -> HPolytope:
-        return self.entries[index].polytope
-
 
 def parliament(bundle: ToricBundle) -> Parliament:
     sheet = check_compatibility(bundle)

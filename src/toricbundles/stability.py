@@ -6,7 +6,10 @@ A divisor's weights are the normalized facet volumes of its polytope, from
 a recursion over facets in integer lattice frames that needs no vertices
 (`_lattice_volume`, `_facet_volume`). Slopes are exact rationals; the
 stability verdict compares every proper nonzero flat's slope against the
-bundle's.
+bundle's. A flat enters that comparison only through c1(F) and rk F, so the
+verdict is decided once per distinct (c1, rank) class of the bundle's slope
+table, by the sign of an integer (`check_stability`), and a `Fraction` is
+built only for the slopes it reports.
 """
 from __future__ import annotations
 
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .bundle import ToricBundle, check_compatibility
 from .fan import Fan, FanError, Wall, positively_spans, validate_fan, wall_normal
@@ -179,16 +183,18 @@ def _weighted_support(poly: HPolytope, pol: Polarization) -> Fraction:
     return sum((c * t for c, t in zip(poly.bounds, pol.weights)), Fraction(0))
 
 
+def _order(difference) -> Order:
+    """How a compares with b, from the sign of a - b."""
+    if difference < 0:
+        return Order.LESS
+    return Order.GREATER if difference > 0 else Order.EQUAL
+
+
 def compare_average_polytopes(p1: HPolytope, p2: HPolytope, pol: Polarization) -> Order:
     """Total order on divisor polytopes: compare sum c_i t_i."""
     if p1.rays != p2.rays:
         raise ValueError("polytopes over different fans are not comparable")
-    a, b = _weighted_support(p1, pol), _weighted_support(p2, pol)
-    if a < b:
-        return Order.LESS
-    if a > b:
-        return Order.GREATER
-    return Order.EQUAL
+    return _order(_weighted_support(p1, pol) - _weighted_support(p2, pol))
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +219,11 @@ class StabilityReport:
 
 
 def _slope_table(bundle: ToricBundle):
-    """(c1(E), ((flat, c1(F)) for every proper nonzero flat F)), computed once
-    per bundle from ranks alone and kept on it.
+    """(c1(E), classes, members), computed once per bundle from ranks alone
+    and kept on it. `classes` holds the distinct pairs (c1(F), rk F) in
+    first-seen order; `members` pairs every proper nonzero flat F, in flat
+    order, with the index of its class. Flats of one class have the same
+    slope under every polarization, so a polarization is read per class.
 
     The sweep spans each filtration value by the ground vectors inside it, so
     E^i(j) meets the ground set in the level mask {e : level_i(e) >= j}, and
@@ -230,9 +239,8 @@ def _slope_table(bundle: ToricBundle):
                 (a, sum(1 << e for e, lv in enumerate(levels) if lv >= a))
                 for a in filt.thresholds
             ])
-        flats = proper_nonzero_flats(gs)
-        c1s = []
-        for mask in [(1 << len(gs)) - 1] + [_mask(f.indices) for f in flats]:
+
+        def c1_of(mask):
             r_f = rank(mask)
             coeffs = []
             for steps in level_masks:
@@ -240,37 +248,63 @@ def _slope_table(bundle: ToricBundle):
                 coeffs.append(sum(
                     a * (d - d_next) for (a, _), d, d_next in zip(steps, dims, dims[1:])
                 ))
-            c1s.append(tuple(coeffs))
-        bundle._slopes = (c1s[0], tuple(zip(flats, c1s[1:])))
+            return tuple(coeffs)
+
+        classes: dict = {}
+        members = tuple(
+            (f, classes.setdefault((c1_of(_mask(f.indices)), f.rank), len(classes)))
+            for f in proper_nonzero_flats(gs)
+        )
+        bundle._slopes = (c1_of((1 << len(gs)) - 1), tuple(classes), members)
     return bundle._slopes
 
 
 def check_stability(bundle: ToricBundle, pol: Polarization) -> StabilityReport:
-    """Compare every proper nonzero flat's slope against the bundle's: one
-    integer dot product per flat, with the weights over a common denominator."""
+    """Compare the slope of every proper nonzero flat with mu(E), in
+    integers: one dot product per (c1, rank) class of the slope table.
+
+    With the weights scaled to integers t over den, a flat of class
+    (c1(F), rk F) has slope n / (den rk F) with n = sum c1_i(F) t_i, and
+    mu(E) = n_E / (den rk E). Both denominators are positive, so the flat's
+    relation to mu is the sign of n rk E - n_E rk F. The witness is the
+    flat of maximal slope, ties to the larger rank, then to the least
+    indices: among classes, n/rk is compared by cross-multiplying, and the
+    winning (n, rk) may be shared by classes of different c1, so the least
+    indices are taken over the members of every class with that pair. A
+    `Fraction` is built only for mu and for each class's slope, which the
+    flats of the class share.
+    """
     check_compatibility(bundle)
-    c1_e, table = _slope_table(bundle)
-    den = lcm(*(t.denominator for t in pol.weights))
-    t = [int(x * den) for x in pol.weights]
-    mu = Fraction(sum(a * b for a, b in zip(c1_e, t)), den * bundle.rank)
-    rows = []
-    for flat, coeffs in table:
-        s = Fraction(sum(a * b for a, b in zip(coeffs, t)), den * flat.rank)
-        rel = Order.LESS if s < mu else (Order.EQUAL if s == mu else Order.GREATER)
-        rows.append(FlatSlope(flat=flat, slope=s, relation=rel))
-    stable = all(r.relation is Order.LESS for r in rows)
-    semistable = all(r.relation is not Order.GREATER for r in rows)
+    c1_e, classes, members = _slope_table(bundle)
+    den = lcm(*(x.denominator for x in pol.weights))
+    t = [x.numerator * (den // x.denominator) for x in pol.weights]
+    r, n_e = bundle.rank, sum(map(mul, c1_e, t))
+    nums = [sum(map(mul, coeffs, t)) for coeffs, _ in classes]
+    relations = [_order(n * r - n_e * rk) for n, (_, rk) in zip(nums, classes)]
+    shared = [
+        (Fraction(n, den * rk), rel)
+        for n, (_, rk), rel in zip(nums, classes, relations)
+    ]
     witness = None
     witness_slope = None
-    if rows:
-        # maximal slope, ties to larger rank, then index order
-        best = min(rows, key=lambda r: (-r.slope, -r.flat.rank, r.flat.indices))
-        witness, witness_slope = best.flat, best.slope
+    if classes:
+        top = 0
+        for k, (n, (_, rk)) in enumerate(zip(nums, classes)):
+            top_rk = classes[top][1]
+            ahead = n * top_rk - nums[top] * rk
+            if ahead > 0 or (ahead == 0 and rk > top_rk):
+                top = k
+        top_n, top_rk = nums[top], classes[top][1]
+        witness = min(
+            (f for f, k in members if nums[k] == top_n and classes[k][1] == top_rk),
+            key=lambda f: f.indices,
+        )
+        witness_slope = shared[top][0]
     return StabilityReport(
-        mu=mu,
-        stable=stable,
-        semistable=semistable,
-        flat_slopes=tuple(rows),
+        mu=Fraction(n_e, den * r),
+        stable=all(rel is Order.LESS for rel in relations),
+        semistable=Order.GREATER not in relations,
+        flat_slopes=tuple(FlatSlope(f, *shared[k]) for f, k in members),
         witness=witness,
         witness_slope=witness_slope,
     )

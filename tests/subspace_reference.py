@@ -7,12 +7,14 @@ a zero-pruned intersection walk. These are the earlier routes through
 exclusion over every level tuple, which the differential tests compare
 against, plus the seeded random-subspace slope probe, the basis extension
 that re-eliminated after every row it took, the ground-set sweep that
-spanned the rows inside each lattice element afresh, the `Fraction`
-reduced echelon kernel (`_rref`, `reduce`, `contains` and the `rref_*`
-routes built on it) that the integer echelon rows of `linalg.Subspace` and
-`integer_rank` are checked against, and the per-dimension facet volumes
-(vertices, coordinates in an orthogonal lattice basis, hull and shoelace
-for d <= 3) that the lattice-volume recursion replaced.
+spanned the rows inside each lattice element afresh, the per-flat `Fraction`
+stability decision that the integer decision on (c1, rank) classes is
+checked against, the `Fraction` reduced echelon kernel (`_rref`, `reduce`,
+`contains` and the `rref_*` routes built on it) that the integer echelon
+rows of `linalg.Subspace` and `integer_rank` are checked against, and the
+per-dimension facet volumes (vertices, coordinates in an orthogonal lattice
+basis, hull and shoelace for d <= 3) that the lattice-volume recursion
+replaced.
 
 It also holds two sum-condition checks that the package proves rather than
 runs, as the `bundle` and `matroid.is_subbundle` docstrings argue: on every
@@ -26,13 +28,14 @@ import random
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 
 from toricbundles import bundle as bundle_module
 from toricbundles import linalg
 from toricbundles import matroid as matroid_module
-from toricbundles.bundle import IncompatibilityWitness
+from toricbundles.bundle import IncompatibilityWitness, check_compatibility
 from toricbundles.linalg import (
     Subspace,
     dot,
@@ -42,9 +45,9 @@ from toricbundles.linalg import (
     span,
     subspace_sum,
 )
-from toricbundles.matroid import bundle_ground_set, is_compatible_flat
+from toricbundles.matroid import bundle_ground_set, is_compatible_flat, proper_nonzero_flats
 from toricbundles.polytopes import HPolytope, convex_polygon
-from toricbundles.stability import Order, slope
+from toricbundles.stability import FlatSlope, Order, StabilityReport, c1, slope
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +280,39 @@ def check_stability(bundle, pol):
     if rows:
         witness = min(rows, key=lambda r: (-r[2], -r[1], r[0]))[0]
     return mu, rows, stable, semistable, witness
+
+
+def per_flat_check_stability(bundle, pol):
+    """The earlier `stability.check_stability`: one `Fraction` slope per
+    proper nonzero flat, compared with mu as `Fraction`s, and the witness
+    the minimum over all flats of (-slope, -rank, indices). Its c1 vectors
+    come from `c1` on each flat's span rather than the slope table."""
+    check_compatibility(bundle)
+    c1_e = c1(bundle)
+    table = [(f, c1(bundle, f.subspace)) for f in proper_nonzero_flats(bundle_ground_set(bundle))]
+    den = lcm(*(t.denominator for t in pol.weights))
+    t = [int(x * den) for x in pol.weights]
+    mu = Fraction(sum(a * b for a, b in zip(c1_e, t)), den * bundle.rank)
+    rows = []
+    for flat, coeffs in table:
+        s = Fraction(sum(a * b for a, b in zip(coeffs, t)), den * flat.rank)
+        rel = Order.LESS if s < mu else (Order.EQUAL if s == mu else Order.GREATER)
+        rows.append(FlatSlope(flat=flat, slope=s, relation=rel))
+    stable = all(r.relation is Order.LESS for r in rows)
+    semistable = all(r.relation is not Order.GREATER for r in rows)
+    witness = None
+    witness_slope = None
+    if rows:
+        best = min(rows, key=lambda r: (-r.slope, -r.flat.rank, r.flat.indices))
+        witness, witness_slope = best.flat, best.slope
+    return StabilityReport(
+        mu=mu,
+        stable=stable,
+        semistable=semistable,
+        flat_slopes=tuple(rows),
+        witness=witness,
+        witness_slope=witness_slope,
+    )
 
 
 def brute_force_max_slope(bundle, pol, samples: int, seed: int = 0) -> Fraction | None:

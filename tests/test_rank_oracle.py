@@ -12,9 +12,19 @@ from subspace_reference import check_stability as reference_check_stability
 from subspace_reference import closure as reference_closure
 from subspace_reference import enumerate_flats as reference_flats
 from subspace_reference import matrix_rank as reference_rank
+from subspace_reference import per_flat_check_stability
 
-from toricbundles import linalg, matroid
-from toricbundles.bundle import Filtration, ToricBundle, direct_sum, tangent_bundle
+from conftest import fixture_path
+
+from toricbundles import linalg, matroid, stability
+from toricbundles.bundle import (
+    Filtration,
+    ToricBundle,
+    direct_sum,
+    line_bundle,
+    tangent_bundle,
+)
+from toricbundles.io import load_document
 from toricbundles.linalg import Subspace, integer_rank, integer_row, span
 from toricbundles.matroid import (
     GroundSet,
@@ -123,11 +133,15 @@ def test_preference_ground_set_matches_reference(case, data):
     inside = gs.indices_in(f_space)
     assert closure(gs, inside).indices == reference_closure(gs, inside)[0]
     # slopes are only taken on the bundle's own ground set
-    c1_e, table = _slope_table(bundle)
+    c1_e, classes, members = _slope_table(bundle)
     assert c1_e == c1(bundle)
-    for flat, coeffs in table:
+    assert len(set(classes)) == len(classes)
+    assert tuple(flat for flat, _ in members) == proper_nonzero_flats(bundle_ground_set(bundle))
+    for flat, k in members:
+        coeffs, rank = classes[k]
         assert flat.ground_set is bundle_ground_set(bundle)
         assert coeffs == c1(bundle, flat.subspace)
+        assert rank == flat.rank
 
 
 @settings(max_examples=100, deadline=None)
@@ -208,6 +222,12 @@ def _assert_reused_bundle_matches(bundle, pols):
 @given(case=flag_bundles(), data=st.data())
 def test_slope_table_serves_every_polarization(case, data):
     bundle, pol, _ = case
+    _assert_reused_bundle_matches(bundle, _polarizations(bundle, pol, data) + [pol])
+
+
+def _polarizations(bundle, pol, data):
+    """The drawn integer weights, the same over 3, the weights of a random
+    divisor with denominators up to 3, and the sum of the last two."""
     thirds = validate_polarization(bundle.fan, [t / 3 for t in pol.weights])
     divisor = data.draw(st.lists(
         st.fractions(Fraction(1, 3), 3, max_denominator=3),
@@ -217,7 +237,70 @@ def test_slope_table_serves_every_polarization(case, data):
     mixed = validate_polarization(
         bundle.fan, [a + b for a, b in zip(thirds.weights, from_divisor.weights)]
     )
-    _assert_reused_bundle_matches(bundle, [pol, thirds, from_divisor, mixed, pol])
+    return [pol, thirds, from_divisor, mixed]
+
+
+def _assert_same_as_per_flat_decision(bundle, pols):
+    for pol in pols:
+        report = check_stability(bundle, pol)
+        assert _report_fields(report) == _report_fields(per_flat_check_stability(bundle, pol))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=flag_bundles(), data=st.data())
+def test_class_decision_matches_the_per_flat_decision(case, data):
+    bundle, pol, _ = case
+    _assert_same_as_per_flat_decision(bundle, _polarizations(bundle, pol, data))
+
+
+def test_class_decision_on_fixed_cases():
+    # T+T on P^3: semistable, not stable, every flat on the boundary
+    fan = projective_space(3)
+    bundle = direct_sum(tangent_bundle(fan), tangent_bundle(fan))
+    unit = validate_polarization(fan, (1, 1, 1, 1))
+    _assert_same_as_per_flat_decision(bundle, [unit])
+    report = check_stability(bundle, unit)
+    assert report.semistable and not report.stable
+
+    # O(D_0) + O(D_1) + O(D_2) on P^2: slope 1 at ranks 1 and 2, so the
+    # witness goes to the larger rank, and to the least indices among the
+    # three rank-2 classes
+    doc = load_document(fixture_path("p2_sum_three"))
+    _assert_same_as_per_flat_decision(doc.bundle, [doc.polarization()])
+    report = check_stability(doc.bundle, doc.polarization())
+    assert report.witness.indices == (0, 1) and report.witness_slope == 1
+
+    # O(D_0) + O(D_2) on P^1 x P^1: the two lines have different c1 and the
+    # same slope and rank under every balanced polarization
+    fan = hirzebruch(0)
+    bundle = direct_sum(line_bundle(fan, (1, 0, 0, 0)), line_bundle(fan, (0, 0, 1, 0)))
+    pols = [validate_polarization(fan, w) for w in ((1, 1, 1, 1), (2, 1, 2, 1))]
+    _assert_same_as_per_flat_decision(bundle, pols)
+    _, classes, members = _slope_table(bundle)
+    assert classes == (((0, 0, 1, 0), 1), ((1, 0, 0, 0), 1))
+    assert [k for _, k in members] == [0, 1]
+    report = check_stability(bundle, pols[1])
+    assert report.semistable and not report.stable
+    assert report.witness.indices == (0,) and report.witness_slope == 2
+
+
+def test_second_polarization_builds_a_fraction_per_class(monkeypatch):
+    fan = projective_space(3)
+    bundle = direct_sum(tangent_bundle(fan), tangent_bundle(fan))
+    check_stability(bundle, validate_polarization(fan, (1, 1, 1, 1)))
+    pol = validate_polarization(fan, (Fraction(2, 3),) * 4)
+    _, classes, members = _slope_table(bundle)
+    made = []
+
+    def counting(*args):
+        made.append(Fraction(*args))
+        return made[-1]
+
+    monkeypatch.setattr(stability, "Fraction", counting)
+    report = check_stability(bundle, pol)
+    assert len(made) <= len(classes) + 2 < len(members)
+    assert all(isinstance(fs.slope, Fraction) for fs in report.flat_slopes)
+    assert isinstance(report.mu, Fraction) and isinstance(report.witness_slope, Fraction)
 
 
 def test_slope_table_on_the_semistable_boundary():
