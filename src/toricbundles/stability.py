@@ -6,10 +6,13 @@ A divisor's weights are the normalized facet volumes of its polytope, from
 a recursion over facets in integer lattice frames that needs no vertices
 (`_lattice_volume`, `_facet_volume`). Slopes are exact rationals; the
 stability verdict compares every proper nonzero flat's slope against the
-bundle's. A flat enters that comparison only through c1(F) and rk F, so the
-verdict is decided once per distinct (c1, rank) class of the bundle's slope
-table, by the sign of an integer (`check_stability`), and a `Fraction` is
-built only for the slopes it reports.
+bundle's. A flat enters that comparison only through rk F and the class of
+c1(F) in Pic(X) = Z^rays / M: a principal divisor div(u) = (<u, v_i>)_i has
+<div(u), t> = <u, sum t_i v_i> = 0 under balanced weights. So the slope
+table reduces each c1(F) modulo M through the first maximal cone, the
+verdict is decided once per (Pic class, rank) class by the sign of an
+integer (`check_stability`), and a `Fraction` is built only for the slopes
+it reports.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ from operator import mul
 
 from .bundle import ToricBundle, check_compatibility
 from .fan import Fan, FanError, Wall, positively_spans, validate_fan, wall_normal
-from .linalg import Subspace, intersect, lattice_frame, subspace_sum
+from .linalg import Subspace, intersect, lattice_frame, subspace_sum, unimodular_inverse
 from .matroid import Flat, _mask, bundle_ground_set, proper_nonzero_flats
 from .polytopes import HPolytope, newton_polytope
 
@@ -219,11 +222,25 @@ class StabilityReport:
 
 
 def _slope_table(bundle: ToricBundle):
-    """(c1(E), classes, members), computed once per bundle from ranks alone
-    and kept on it. `classes` holds the distinct pairs (c1(F), rk F) in
-    first-seen order; `members` pairs every proper nonzero flat F, in flat
-    order, with the index of its class. Flats of one class have the same
-    slope under every polarization, so a polarization is read per class.
+    """(c1(E), classes, members, firsts), computed once per bundle from ranks
+    alone and kept on it. `classes` holds the distinct pairs (key, rk F) in
+    first-seen order, where key stands for the class of c1(F) in
+    Pic(X) = Z^rays / M; `members` pairs every proper nonzero flat F, in flat
+    order, with the index of its class; `firsts[k]` is class k's first member.
+
+    The key is the representative of c1(F) that vanishes on the rays of
+    sigma, the fan's first maximal cone. Its ray matrix R is unimodular, as
+    the fan passed `validate_fan`, so u = -R^-1 c_sigma is a character and
+    key = c + div(u), with div(u) = (<u, v_i>)_i: c minus c_s times the
+    divisor of the character dual to s, for each ray s of sigma. Two flats
+    share a class exactly when their ranks are equal and their c1 differ by
+    a principal divisor. A balanced polarization has
+    <div(u), t> = <u, sum t_i v_i> = 0, so the flats of a class have the
+    same slope under every polarization, read from the key.
+
+    Flats come in (rank, indices) order and a class has one rank, so a
+    class's first member has its least indices, and classes of equal rank
+    are in the order of their first members.
 
     The sweep spans each filtration value by the ground vectors inside it, so
     E^i(j) meets the ground set in the level mask {e : level_i(e) >= j}, and
@@ -248,36 +265,63 @@ def _slope_table(bundle: ToricBundle):
                 coeffs.append(sum(
                     a * (d - d_next) for (a, _), d, d_next in zip(steps, dims, dims[1:])
                 ))
+            return coeffs
+
+        fan = bundle.fan
+        sigma = fan.max_cones[0]
+        duals = [
+            (s, [sum(map(mul, v, col)) for v in fan.rays])
+            for s, col in zip(sigma, zip(*unimodular_inverse(fan.ray_matrix(sigma))))
+        ]
+
+        def key_of(coeffs):
+            for s, div in duals:
+                a = coeffs[s]
+                if a:
+                    coeffs = [x - a * y for x, y in zip(coeffs, div)]
             return tuple(coeffs)
 
         classes: dict = {}
-        members = tuple(
-            (f, classes.setdefault((c1_of(_mask(f.indices)), f.rank), len(classes)))
-            for f in proper_nonzero_flats(gs)
+        members = []
+        firsts = []
+        for f in proper_nonzero_flats(gs):
+            k = classes.setdefault((key_of(c1_of(_mask(f.indices))), f.rank), len(classes))
+            if k == len(firsts):
+                firsts.append(f)
+            members.append((f, k))
+        bundle._slopes = (
+            tuple(c1_of((1 << len(gs)) - 1)), tuple(classes), tuple(members), tuple(firsts)
         )
-        bundle._slopes = (c1_of((1 << len(gs)) - 1), tuple(classes), members)
     return bundle._slopes
 
 
 def check_stability(bundle: ToricBundle, pol: Polarization) -> StabilityReport:
     """Compare the slope of every proper nonzero flat with mu(E), in
-    integers: one dot product per (c1, rank) class of the slope table.
+    integers: one dot product per (Pic class, rank) class of the slope
+    table. Raises PolarizationError unless there is one weight per ray and
+    sum t_i v_i = 0, which the classes need.
 
     With the weights scaled to integers t over den, a flat of class
-    (c1(F), rk F) has slope n / (den rk F) with n = sum c1_i(F) t_i, and
-    mu(E) = n_E / (den rk E). Both denominators are positive, so the flat's
-    relation to mu is the sign of n rk E - n_E rk F. The witness is the
-    flat of maximal slope, ties to the larger rank, then to the least
-    indices: among classes, n/rk is compared by cross-multiplying, and the
-    winning (n, rk) may be shared by classes of different c1, so the least
-    indices are taken over the members of every class with that pair. A
-    `Fraction` is built only for mu and for each class's slope, which the
-    flats of the class share.
+    (key, rk F) has slope n / (den rk F) with n = sum key_i t_i, equal to
+    sum c1_i(F) t_i for balanced t, and mu(E) = n_E / (den rk E). Both
+    denominators are positive, so the flat's relation to mu is the sign of
+    n rk E - n_E rk F. The witness is the flat of maximal slope, ties to the
+    larger rank, then to the least indices: n/rk is compared across classes
+    by cross-multiplying, and the first class to reach the winning (n, rk)
+    is kept. Classes of different keys can share that pair, but the first
+    of them has the first member with the least indices (`_slope_table`),
+    and that member is the witness. A `Fraction` is built only for mu and
+    for each class's slope, which the flats of the class share.
     """
-    check_compatibility(bundle)
-    c1_e, classes, members = _slope_table(bundle)
+    rays = bundle.fan.rays
     den = lcm(*(x.denominator for x in pol.weights))
     t = [x.numerator * (den // x.denominator) for x in pol.weights]
+    if len(t) != len(rays):
+        raise PolarizationError(f"got {len(t)} weights for {len(rays)} rays")
+    if any(sum(map(mul, t, column)) for column in zip(*rays)):
+        raise PolarizationError("weights violate the Minkowski balance sum t_i v_i = 0")
+    check_compatibility(bundle)
+    c1_e, classes, members, firsts = _slope_table(bundle)
     r, n_e = bundle.rank, sum(map(mul, c1_e, t))
     nums = [sum(map(mul, coeffs, t)) for coeffs, _ in classes]
     relations = [_order(n * r - n_e * rk) for n, (_, rk) in zip(nums, classes)]
@@ -294,12 +338,7 @@ def check_stability(bundle: ToricBundle, pol: Polarization) -> StabilityReport:
             ahead = n * top_rk - nums[top] * rk
             if ahead > 0 or (ahead == 0 and rk > top_rk):
                 top = k
-        top_n, top_rk = nums[top], classes[top][1]
-        witness = min(
-            (f for f, k in members if nums[k] == top_n and classes[k][1] == top_rk),
-            key=lambda f: f.indices,
-        )
-        witness_slope = shared[top][0]
+        witness, witness_slope = firsts[top], shared[top][0]
     return StabilityReport(
         mu=Fraction(n_e, den * r),
         stable=all(rel is Order.LESS for rel in relations),

@@ -5,8 +5,16 @@ import sys
 from fractions import Fraction
 from functools import partial
 
-from generators import hexagon, hirzebruch, independent_prefix, projective_space
-from hypothesis import given, settings
+import pytest
+from generators import (
+    blown_up_p3,
+    hexagon,
+    hirzebruch,
+    independent_prefix,
+    p1_cubed,
+    projective_space,
+)
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from subspace_reference import check_stability as reference_check_stability
 from subspace_reference import closure as reference_closure
@@ -23,9 +31,17 @@ from toricbundles.bundle import (
     direct_sum,
     line_bundle,
     tangent_bundle,
+    twist_by_character,
 )
 from toricbundles.io import load_document
-from toricbundles.linalg import Subspace, integer_rank, integer_row, span
+from toricbundles.linalg import (
+    Subspace,
+    dot,
+    integer_rank,
+    integer_row,
+    solve_rational_system,
+    span,
+)
 from toricbundles.matroid import (
     GroundSet,
     bundle_ground_set,
@@ -34,6 +50,8 @@ from toricbundles.matroid import (
     proper_nonzero_flats,
 )
 from toricbundles.stability import (
+    Polarization,
+    PolarizationError,
     _slope_table,
     c1,
     check_stability,
@@ -77,6 +95,18 @@ def flag_bundles(draw):
         filts.append(Filtration(rank, steps))
     bundle = ToricBundle(fan, rank, filts)
     return bundle, validate_polarization(fan, draw(_weights(kind))), pool
+
+
+def _character_of(fan, divisor):
+    """The integer character u with div(u) = (<u, v_i>)_i equal to the
+    divisor, or None when the divisor is not principal: u is solved on the
+    last maximal cone and then checked on every ray."""
+    cone = fan.max_cones[-1]
+    u = solve_rational_system(fan.ray_matrix(cone), [divisor[i] for i in cone])
+    if any(x.denominator != 1 for x in u):
+        return None
+    u = tuple(int(x) for x in u)
+    return u if all(dot(u, v) == a for v, a in zip(fan.rays, divisor)) else None
 
 
 def _assert_same_flats(gs):
@@ -133,15 +163,22 @@ def test_preference_ground_set_matches_reference(case, data):
     inside = gs.indices_in(f_space)
     assert closure(gs, inside).indices == reference_closure(gs, inside)[0]
     # slopes are only taken on the bundle's own ground set
-    c1_e, classes, members = _slope_table(bundle)
+    c1_e, classes, members, firsts = _slope_table(bundle)
     assert c1_e == c1(bundle)
     assert len(set(classes)) == len(classes)
     assert tuple(flat for flat, _ in members) == proper_nonzero_flats(bundle_ground_set(bundle))
+    sigma = bundle.fan.max_cones[0]
     for flat, k in members:
-        coeffs, rank = classes[k]
+        key, rank = classes[k]
         assert flat.ground_set is bundle_ground_set(bundle)
-        assert coeffs == c1(bundle, flat.subspace)
+        assert not any(key[i] for i in sigma)
+        difference = [a - b for a, b in zip(c1(bundle, flat.subspace), key)]
+        assert _character_of(bundle.fan, difference) is not None
         assert rank == flat.rank
+    assert firsts == tuple(
+        min((flat for flat, j in members if j == k), key=lambda f: f.indices)
+        for k in range(len(classes))
+    )
 
 
 @settings(max_examples=100, deadline=None)
@@ -264,21 +301,24 @@ def test_class_decision_on_fixed_cases():
 
     # O(D_0) + O(D_1) + O(D_2) on P^2: slope 1 at ranks 1 and 2, so the
     # witness goes to the larger rank, and to the least indices among the
-    # three rank-2 classes
+    # three rank-2 flats, which share one class
     doc = load_document(fixture_path("p2_sum_three"))
     _assert_same_as_per_flat_decision(doc.bundle, [doc.polarization()])
     report = check_stability(doc.bundle, doc.polarization())
     assert report.witness.indices == (0, 1) and report.witness_slope == 1
 
-    # O(D_0) + O(D_2) on P^1 x P^1: the two lines have different c1 and the
-    # same slope and rank under every balanced polarization
+    # O(D_0) + O(D_2) on P^1 x P^1: the two lines have different c1, but
+    # D_0 - D_2 = div((1, 0)), so they are one class, keyed by the
+    # representative that vanishes on the rays 0 and 1 of the first cone
     fan = hirzebruch(0)
     bundle = direct_sum(line_bundle(fan, (1, 0, 0, 0)), line_bundle(fan, (0, 0, 1, 0)))
     pols = [validate_polarization(fan, w) for w in ((1, 1, 1, 1), (2, 1, 2, 1))]
     _assert_same_as_per_flat_decision(bundle, pols)
-    _, classes, members = _slope_table(bundle)
-    assert classes == (((0, 0, 1, 0), 1), ((1, 0, 0, 0), 1))
-    assert [k for _, k in members] == [0, 1]
+    _, classes, members, firsts = _slope_table(bundle)
+    assert [c1(bundle, f.subspace) for f, _ in members] == [(0, 0, 1, 0), (1, 0, 0, 0)]
+    assert classes == (((0, 0, 1, 0), 1),)
+    assert [k for _, k in members] == [0, 0]
+    assert [f.indices for f in firsts] == [(0,)]
     report = check_stability(bundle, pols[1])
     assert report.semistable and not report.stable
     assert report.witness.indices == (0,) and report.witness_slope == 2
@@ -289,7 +329,7 @@ def test_second_polarization_builds_a_fraction_per_class(monkeypatch):
     bundle = direct_sum(tangent_bundle(fan), tangent_bundle(fan))
     check_stability(bundle, validate_polarization(fan, (1, 1, 1, 1)))
     pol = validate_polarization(fan, (Fraction(2, 3),) * 4)
-    _, classes, members = _slope_table(bundle)
+    _, classes, members, _ = _slope_table(bundle)
     made = []
 
     def counting(*args):
@@ -333,3 +373,115 @@ def test_second_polarization_reads_the_slope_table(monkeypatch):
     assert [fs.slope * 3 / 2 for fs in second.flat_slopes] == [
         fs.slope for fs in first.flat_slopes
     ]
+
+
+@st.composite
+def basis_bundles_3d(draw):
+    """(bundle, polarization): a random rational basis of rank 2-4 with a
+    level per basis vector on each ray, so E_i(j) = span{b : level_i(b) >= j},
+    on P^3 with shuffled rays, (P^1)^3 or P^3 blown up at a point (Picard
+    rank 1, 3 and 2), under balanced integer weights. Only on (P^1)^3 is the
+    first maximal cone the standard basis."""
+    kind = draw(st.sampled_from(("p3", "p1_cubed", "blown_up_p3")))
+    a, b, c = draw(st.lists(st.integers(1, 3), min_size=3, max_size=3))
+    if kind == "p3":
+        fan = projective_space(3, draw(st.permutations(range(4))))
+        weights = (a,) * 4
+    elif kind == "p1_cubed":
+        fan = p1_cubed()
+        weights = (a, a, b, b, c, c)
+    else:
+        fan = blown_up_p3()
+        weights = (a, a, a, a + b, b)
+    rank = draw(st.integers(2, 4))
+    entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    basis = draw(st.lists(st.tuples(*[entry] * rank), min_size=rank, max_size=rank))
+    assume(reference_rank(basis, rank) == rank)
+    filts = []
+    for _ in fan.rays:
+        levels = draw(st.lists(st.integers(-2, 2), min_size=rank, max_size=rank))
+        filts.append(Filtration(rank, [
+            (t, span([v for v, lv in zip(basis, levels) if lv >= t], rank))
+            for t in sorted(set(levels))
+        ]))
+    return ToricBundle(fan, rank, filts), validate_polarization(fan, weights)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=basis_bundles_3d(), data=st.data())
+def test_class_decision_matches_the_per_flat_decision_in_dimension_3(case, data):
+    bundle, pol = case
+    _assert_same_as_per_flat_decision(bundle, _polarizations(bundle, pol, data))
+
+
+def _reduced(fan, cone, divisor):
+    """divisor + div(u), with u solved so that the sum vanishes on the
+    cone's rays."""
+    u = solve_rational_system(fan.ray_matrix(cone), [-divisor[i] for i in cone])
+    return tuple(a + dot(u, v) for a, v in zip(divisor, fan.rays))
+
+
+def _assert_classes_do_not_depend_on_the_cone(bundle):
+    _, classes, members, _ = _slope_table(bundle)
+    fan = bundle.fan
+    c1s = [c1(bundle, flat.subspace) for flat, _ in members]
+    for cone in fan.max_cones:
+        labels: dict = {}
+        partition = [
+            labels.setdefault((_reduced(fan, cone, coeffs), flat.rank), len(labels))
+            for coeffs, (flat, _) in zip(c1s, members)
+        ]
+        assert partition == [k for _, k in members]
+        if cone == fan.max_cones[0]:
+            assert tuple(labels) == classes
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.one_of(flag_bundles().map(lambda c: c[0]), basis_bundles_3d().map(lambda c: c[0])))
+def test_classes_do_not_depend_on_the_reducing_cone(case):
+    _assert_classes_do_not_depend_on_the_cone(case)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=flag_bundles(), u=st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+def test_twist_by_a_character_keeps_the_classes(case, u):
+    """Twisting by u shifts every c1(F) by rk F div(u), a principal divisor,
+    so the keys, the partition and every slope stay."""
+    bundle, pol, _ = case
+    twisted = twist_by_character(bundle, u)
+    c1_e, classes, members, firsts = _slope_table(bundle)
+    c1_t, classes_t, members_t, firsts_t = _slope_table(twisted)
+    div = [dot(u, v) for v in bundle.fan.rays]
+    assert c1_t == tuple(a + bundle.rank * b for a, b in zip(c1_e, div))
+    assert classes_t == classes
+    assert [(f.indices, k) for f, k in members_t] == [(f.indices, k) for f, k in members]
+    assert [f.indices for f in firsts_t] == [f.indices for f in firsts]
+    assert _report_fields(check_stability(twisted, pol)) == _report_fields(
+        check_stability(bundle, pol)
+    )
+
+
+def test_class_counts_of_the_scaling_family():
+    """One class per (Pic class, rank): T on P^6 has Picard rank 1 and flats
+    of ranks 1-5, one class each; T+T on P^4 has ranks 1-7."""
+    for d, copies, flats, count in ((6, 1, 119, 5), (4, 2, 727, 10)):
+        fan = projective_space(d)
+        bundle = tangent_bundle(fan)
+        for _ in range(copies - 1):
+            bundle = direct_sum(bundle, tangent_bundle(fan))
+        _, classes, members, _ = _slope_table(bundle)
+        assert (len(members), len(classes)) == (flats, count)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=flag_bundles(), data=st.data())
+def test_check_stability_rejects_malformed_polarizations(case, data):
+    """Every validated polarization is accepted; a weight more, a weight
+    less, or one weight raised so that sum t_i v_i != 0, is refused."""
+    bundle, pol, _ = case
+    for valid in _polarizations(bundle, pol, data):
+        check_stability(bundle, valid)
+    t = pol.weights
+    for weights in (t + (Fraction(1),), t[:-1], (t[0] + 1,) + t[1:]):
+        with pytest.raises(PolarizationError):
+            check_stability(bundle, Polarization(weights))

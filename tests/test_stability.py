@@ -280,6 +280,19 @@ def test_validate_polarization_rejects_negative():
         validate_polarization(P2_FAN, (-1, 1, 1))
 
 
+def test_check_stability_rejects_malformed_polarizations(documents):
+    """Too few weights, too many, or sum t_i v_i != 0 raise instead of being
+    truncated or read modulo principal divisors; every fixture's validated
+    polarization is accepted."""
+    bundle = documents["p2_tangent"].bundle
+    for weights in ((1, 1), (1, 1, 1, 1), (1, 2, 1)):
+        with pytest.raises(PolarizationError):
+            check_stability(bundle, Polarization(tuple(map(Fraction, weights))))
+    for doc in documents.values():
+        pol = validate_polarization(doc.bundle.fan, doc.polarization().weights)
+        assert check_stability(doc.bundle, pol) == check_stability(doc.bundle, doc.polarization())
+
+
 def test_c1_of_tangent(p2_tangent):
     assert c1(p2_tangent.bundle) == (1, 1, 1)
 
