@@ -475,7 +475,7 @@ def test_class_counts_of_the_scaling_family():
 
 @settings(max_examples=30, deadline=None)
 @given(case=flag_bundles(), data=st.data())
-def test_check_stability_rejects_malformed_polarizations(case, data):
+def test_validated_polarizations_pass_and_malformed_ones_raise(case, data):
     """Every validated polarization is accepted; a weight more, a weight
     less, or one weight raised so that sum t_i v_i != 0, is refused."""
     bundle, pol, _ = case
