@@ -22,9 +22,15 @@ class Fan:
     The constructor checks structural well-formedness only; geometric
     validity (smoothness, completeness proxy) is the job of
     :func:`validate_fan`.
+
+    Two things are kept per fan, filled on first use: `_report`, the
+    validation report, and `_facets`, the table of lattice frames and
+    restricted normals that `stability._facet_volume` reads (one entry per
+    normal met at any depth of the facet recursion). Both depend only on the
+    rays, so every divisor on the fan shares them.
     """
 
-    __slots__ = ("dim", "rays", "max_cones", "_report")
+    __slots__ = ("dim", "rays", "max_cones", "_report", "_facets")
 
     def __init__(self, dim, rays, max_cones):
         self.dim = int(dim)
@@ -58,6 +64,7 @@ class Fan:
             raise FanError("duplicate maximal cones")
         self.max_cones = tuple(cones)
         self._report = None
+        self._facets = {}
 
     def ray_matrix(self, cone):
         return [self.rays[i] for i in cone]

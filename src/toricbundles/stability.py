@@ -4,7 +4,10 @@ A polarization enters purely through its ray weights t_i >= 0 with the exact
 Minkowski balance sum t_i v_i = 0 and positivity on a spanning ray set.
 A divisor's weights are the normalized facet volumes of its polytope, from
 a recursion over facets in integer lattice frames that needs no vertices
-(`_lattice_volume`, `_facet_volume`). Slopes are exact rationals; the
+(`_lattice_volume`, `_facet_volume`). Every frame and restricted normal in
+that recursion depends only on normal vectors, never on the divisor's
+bounds, so they are kept once per fan in `Fan._facets`, and a divisor costs
+only integer arithmetic on its bounds. Slopes are exact rationals; the
 stability verdict compares every proper nonzero flat's slope against the
 bundle's. A flat enters that comparison only through rk F and the class of
 c1(F) in Pic(X) = Z^rays / M: a principal divisor div(u) = (<u, v_i>)_i has
@@ -41,6 +44,8 @@ class Polarization:
 def validate_polarization(fan: Fan, weights) -> Polarization:
     """Nonnegative weights with exact balance and spanning positivity.
 
+    The weights are scaled to integers over their common denominator once,
+    and the sign, balance and positive-ray tests all read those integers.
     When every weight is positive the spanning rays are all the rays, so the
     answer is the fan's own positive-span check, kept on its report."""
     weights = tuple(weights)
@@ -51,17 +56,17 @@ def validate_polarization(fan: Fan, weights) -> Polarization:
         raise PolarizationError(
             f"got {len(t)} weights for {len(fan.rays)} rays"
         )
-    if any(x < 0 for x in t):
-        raise PolarizationError("weights must be nonnegative")
     den = lcm(*(x.denominator for x in t))
     scaled = [x.numerator * (den // x.denominator) for x in t]
+    if any(n < 0 for n in scaled):
+        raise PolarizationError("weights must be nonnegative")
     balance = [sum(n * v[i] for n, v in zip(scaled, fan.rays)) for i in range(fan.dim)]
     if any(balance):
         balance = tuple(Fraction(x, den) for x in balance)
         raise PolarizationError(
             f"weights violate the Minkowski balance: sum t_i v_i = {balance}"
         )
-    positive_rays = [v for ti, v in zip(t, fan.rays) if ti > 0]
+    positive_rays = [v for n, v in zip(scaled, fan.rays) if n > 0]
     if len(positive_rays) == len(fan.rays):
         spanning = validate_fan(fan).positively_spanning
     else:
@@ -73,11 +78,12 @@ def validate_polarization(fan: Fan, weights) -> Polarization:
     return Polarization(weights=t)
 
 
-def _lattice_volume(halfspaces: dict, dim: int):
+def _lattice_volume(table: dict, halfspaces: dict, dim: int):
     """Lattice-normalized volume (dim! times the Euclidean volume) of the
     bounded polytope {y in Q^dim : <a, y> <= b for (a, b) in halfspaces}, whose
     normals are distinct and primitive. The pyramids over the facets from the
     origin give dim! vol(P) = sum b Vol(F_a), with b the lattice distance.
+    `table` is the fan's `_facets` (see `_facet_volume`).
 
     It is 0 for an empty polytope, by induction on dim. An interval
     -b' <= y <= b has volume max(b + b', 0), which is 0 when it is empty; a
@@ -97,7 +103,7 @@ def _lattice_volume(halfspaces: dict, dim: int):
         # other bound holds there
         total = sum(halfspaces.values())
         return max(total, 0) if len(halfspaces) == 2 else total
-    return sum(b * _facet_volume(halfspaces, a, b) for a, b in halfspaces.items())
+    return sum(b * _facet_volume(table, halfspaces, a, b) for a, b in halfspaces.items())
 
 
 def _divide(x, g: int):
@@ -107,30 +113,49 @@ def _divide(x, g: int):
     return x / g
 
 
-def _facet_volume(halfspaces: dict, normal, bound):
+def _facet_volume(table: dict, halfspaces: dict, normal, bound):
     """Lattice-normalized volume of the face <normal, y> = bound: the same
     problem one dimension down, in the coordinates m = bound w + B y, with
     (w, B) from `lattice_frame`: <normal, w> = 1 and B a lattice basis of
     normal-perp. A bound b on a normal a becomes b - bound <a, w> on B^T a,
     an integer when b and bound are; it is divided by g = gcd(B^T a) to make
-    the normal primitive, and only then can it leave the integers."""
-    w, basis = lattice_frame(normal, len(normal))
+    the normal primitive, and only then can it leave the integers.
+
+    Only that bound arithmetic depends on the divisor. The frame of a normal
+    and, for each a, the primitive B^T a / g, g and <a, w> are functions of
+    the two vectors alone, so `table` (the fan's `_facets`) keys them by the
+    vectors: table[normal] = (w, B, rows), with rows[a] = (B^T a / g, g,
+    <a, w>), each filled on first use. An entry is right whichever path of
+    the recursion reaches its normal, in whichever coordinates that path
+    left it. The recursion still reaches a face of codimension j once per
+    ordering of the facets that cut it out, but after the first visit to a
+    normal on a fan each later one is a dictionary hit."""
+    entry = table.get(normal)
+    if entry is None:
+        w, basis = lattice_frame(normal, len(normal))
+        entry = table[normal] = (w, basis, {})
+    w, basis, rows = entry
     facet: dict = {}
     for a, b in halfspaces.items():
-        restricted = tuple(sum(ai * bi for ai, bi in zip(a, col)) for col in basis)
-        rest = b - bound * sum(ai * wi for ai, wi in zip(a, w))
-        g = gcd(*restricted)
+        row = rows.get(a)
+        if row is None:
+            restricted = tuple(sum(map(mul, a, col)) for col in basis)
+            g = gcd(*restricted)
+            if g > 1:
+                restricted = tuple(x // g for x in restricted)
+            row = rows[a] = (restricted, g, sum(map(mul, a, w)))
+        restricted, g, aw = row
+        rest = b - bound * aw
         if g == 0:
             if rest < 0:
                 return 0
             continue
         if g != 1:
-            restricted = tuple(ai // g for ai in restricted)
             rest = _divide(rest, g)
         known = facet.get(restricted)
         if known is None or rest < known:
             facet[restricted] = rest
-    return _lattice_volume(facet, len(basis))
+    return _lattice_volume(table, facet, len(basis))
 
 
 def weights_from_divisor(fan: Fan, coefficients) -> Polarization:
@@ -139,13 +164,16 @@ def weights_from_divisor(fan: Fan, coefficients) -> Polarization:
     when sum c_i t_i = d! vol(P) is positive. The weights are computed
     first: an empty polytope has every t_i = 0 (see `_lattice_volume`), so
     the vertices are enumerated only when the sum is 0, to tell an empty
-    polytope from a lower-dimensional one."""
+    polytope from a lower-dimensional one. The frames and restricted normals
+    come from the fan's `_facets` table, filled by the first divisor on the
+    fan; later divisors pay only for the arithmetic on their own bounds."""
     poly = newton_polytope(fan, coefficients)
     halfspaces = {
         ray: c.numerator if c.denominator == 1 else c
         for ray, c in zip(poly.rays, poly.bounds)
     }
-    weights = [_facet_volume(halfspaces, ray, c) for ray, c in halfspaces.items()]
+    table = fan._facets
+    weights = [_facet_volume(table, halfspaces, ray, c) for ray, c in halfspaces.items()]
     if sum(c * t for c, t in zip(halfspaces.values(), weights)) == 0:
         if poly.is_empty():
             raise PolarizationError("divisor polytope is empty; weights undefined")
@@ -298,8 +326,11 @@ def _slope_table(bundle: ToricBundle):
 def check_stability(bundle: ToricBundle, pol: Polarization) -> StabilityReport:
     """Compare the slope of every proper nonzero flat with mu(E), in
     integers: one dot product per (Pic class, rank) class of the slope
-    table. Raises PolarizationError unless there is one weight per ray and
-    sum t_i v_i = 0, which the classes need.
+    table. Raises PolarizationError unless there is one weight per ray, no
+    weight is negative, some weight is positive and sum t_i v_i = 0: the
+    classes need the balance, and a slope is a degree only under nonnegative,
+    nonzero weights. Spanning positivity is the job of
+    `validate_polarization`, which needs the fan's positive-span test.
 
     With the weights scaled to integers t over den, a flat of class
     (key, rk F) has slope n / (den rk F) with n = sum key_i t_i, equal to
@@ -318,6 +349,10 @@ def check_stability(bundle: ToricBundle, pol: Polarization) -> StabilityReport:
     t = [x.numerator * (den // x.denominator) for x in pol.weights]
     if len(t) != len(rays):
         raise PolarizationError(f"got {len(t)} weights for {len(rays)} rays")
+    if any(n < 0 for n in t):
+        raise PolarizationError("weights must be nonnegative")
+    if not any(t):
+        raise PolarizationError("weights are all zero")
     if any(sum(map(mul, t, column)) for column in zip(*rays)):
         raise PolarizationError("weights violate the Minkowski balance sum t_i v_i = 0")
     check_compatibility(bundle)

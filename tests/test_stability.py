@@ -17,7 +17,7 @@ from toricbundles.bundle import (
 from toricbundles import fan as fan_module
 from toricbundles import stability as stability_module
 from toricbundles.fan import Fan, FanError, positively_spans, validate_fan, walls
-from toricbundles.linalg import Subspace, span
+from toricbundles.linalg import Subspace, lattice_frame, span
 from toricbundles.matroid import bundle_ground_set, proper_nonzero_flats
 from toricbundles.parliament import average_polytope
 from toricbundles.polytopes import HPolytope, newton_polytope
@@ -94,7 +94,7 @@ def fan_divisors(draw):
 def _facet_volumes(fan, coeffs):
     poly = newton_polytope(fan, coeffs)
     halfspaces = dict(zip(poly.rays, poly.bounds))
-    return [_facet_volume(halfspaces, ray, c) for ray, c in halfspaces.items()]
+    return [_facet_volume(fan._facets, halfspaces, ray, c) for ray, c in halfspaces.items()]
 
 
 @settings(max_examples=300, deadline=None)
@@ -209,6 +209,88 @@ def test_weights_match_the_fraction_reference_on_degenerate_divisors():
         assert got[0] is PolarizationError
 
 
+# one fan object each, shared by every example: their facet tables stay warm
+WARM_FANS = (
+    hexagon(),
+    hirzebruch(0),
+    hirzebruch(1),
+    hirzebruch(2),
+    hirzebruch(3),
+    projective_space(3),
+    projective_space(4),
+    p1_cubed(),
+    blown_up_p3(),
+)
+
+
+def _cold_copy(fan):
+    return Fan(fan.dim, fan.rays, fan.max_cones)
+
+
+@st.composite
+def divisor_runs(draw):
+    """(a fan of WARM_FANS, divisors on it): ints in -3..3 or Fractions p/q
+    with q <= 3, so that empty and lower-dimensional polytopes are common."""
+    fan = draw(st.sampled_from(WARM_FANS))
+    entry = st.one_of(
+        st.integers(-3, 3), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+    )
+    n = len(fan.rays)
+    return fan, draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=divisor_runs())
+def test_weights_on_a_warm_facet_table_match_a_cold_one(case):
+    """Divisors one after another on the same fan read the table the
+    earlier ones filled; each answer, weights or error message, is the one
+    a fresh fan gives."""
+    fan, divisors = case
+    for coeffs in divisors:
+        assert _outcome(weights_from_divisor, fan, coeffs) == _outcome(
+            weights_from_divisor, _cold_copy(fan), coeffs
+        )
+
+
+def test_degenerate_divisors_on_a_warm_facet_table_keep_their_messages():
+    cases = [
+        (WARM_FANS[1], (0, 1, 0, 0), "lower-dimensional"),  # a segment
+        (WARM_FANS[5], (1, 0, 0, -1), "lower-dimensional"),  # a point
+        (WARM_FANS[6], (1, 0, 0, -1, -1), "empty"),
+        (WARM_FANS[7], (0, 0, 1, 0, 1, 0), "lower-dimensional"),  # a square
+        (WARM_FANS[7], (1, -1, 0, 0, 1, -2), "empty"),
+        (WARM_FANS[8], (0, 0, 0, 0, -1), "empty"),
+    ]
+    for fan, coeffs, kind in cases:
+        weights_from_divisor(fan, (1,) * len(fan.rays))
+        warm = _outcome(weights_from_divisor, fan, coeffs)
+        assert warm == _outcome(weights_from_divisor, _cold_copy(fan), coeffs)
+        assert warm == (PolarizationError, f"divisor polytope is {kind}; weights undefined")
+
+
+def test_the_second_divisor_on_a_fan_computes_no_lattice_frame(monkeypatch):
+    calls = []
+
+    def counted(v, d):
+        calls.append(v)
+        return lattice_frame(v, d)
+
+    monkeypatch.setattr(stability_module, "lattice_frame", counted)
+    fans = [hexagon(), hirzebruch(0), hirzebruch(3), projective_space(3),
+            projective_space(5), p1_cubed(), blown_up_p3()]
+    for fan in fans:
+        n = len(fan.rays)
+        calls.clear()
+        weights_from_divisor(fan, (1,) * n)
+        first = len(calls)
+        assert first > 0
+        weights_from_divisor(fan, (2,) + (3,) * (n - 1))
+        assert len(calls) == first
+        # a fresh fan of the same rays starts from an empty table
+        weights_from_divisor(_cold_copy(fan), (2,) + (3,) * (n - 1))
+        assert len(calls) == 2 * first
+
+
 def test_full_dimensional_divisors_enumerate_no_vertices(monkeypatch):
     calls = []
     original = HPolytope.vertices
@@ -291,6 +373,18 @@ def test_check_stability_rejects_malformed_polarizations(documents):
     for doc in documents.values():
         pol = validate_polarization(doc.bundle.fan, doc.polarization().weights)
         assert check_stability(doc.bundle, pol) == check_stability(doc.bundle, doc.polarization())
+
+
+def test_check_stability_rejects_negative_and_all_zero_weights(documents):
+    """Both are balanced, so the balance test alone let them through: on
+    p2_tangent they read as unstable (mu = -3/2) and as semistable (mu = 0)."""
+    bundle = documents["p2_tangent"].bundle
+    for weights in ((-1, -1, -1), (Fraction(-1, 2),) * 3, (2, -1, 0)):
+        with pytest.raises(PolarizationError, match="nonnegative"):
+            check_stability(bundle, Polarization(weights))
+    for weights in ((0, 0, 0), (Fraction(0),) * 3):
+        with pytest.raises(PolarizationError, match="all zero"):
+            check_stability(bundle, Polarization(weights))
 
 
 def test_c1_of_tangent(p2_tangent):
