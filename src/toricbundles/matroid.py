@@ -8,8 +8,11 @@ given). The traversal order inside a dimension class is the one licensed
 degree of freedom and is pinned to the lexicographic order of canonical
 bases; tests exercise its irrelevance.
 
-Closure and flats come from the matroid rank of ground-set bitmasks, which
-each ground set computes by integer elimination and memoizes.
+Closures and flats come from the echelon residuals of the sweep, with no
+rank elimination: the closure of a set is the ground vectors inside its
+span, and the flats covering a flat F are the points of the contraction M/F
+(Oxley, *Matroid Theory*, 3.1), the elements outside F grouped by the line
+of their residual modulo span F, which represents their coset.
 """
 from __future__ import annotations
 
@@ -29,7 +32,6 @@ from .linalg import (
     Subspace,
     Vector,
     extend_basis,
-    integer_rank,
     intersect,
     primitive_line,
     rational_row,
@@ -48,16 +50,10 @@ class SubspaceLattice:
         return tuple(w for w in self.elements if w.dim == k)
 
 
-def build_lattice(bundle: ToricBundle, ray_indices=None) -> SubspaceLattice:
-    if ray_indices is None:
-        ray_indices = range(len(bundle.fan.rays))
-    ray_indices = list(ray_indices)
-    if not ray_indices:
-        raise ValueError("lattice over an empty ray subset")
+def build_lattice(bundle: ToricBundle) -> SubspaceLattice:
     r = bundle.rank
     current = {Subspace.full(r)}
-    for i in ray_indices:
-        filt = bundle.filtrations[i]
+    for filt in bundle.filtrations:
         values = [sp for _, sp in filt.steps] + [Subspace.zero(r)]
         current = {intersect(w, v) for w in current for v in values} | current
     # sort_key order without building Fractions: every reduced row times the
@@ -76,19 +72,14 @@ def build_lattice(bundle: ToricBundle, ray_indices=None) -> SubspaceLattice:
 
 @dataclass(frozen=True)
 class GroundSet:
-    """Output of the ground-set sweep, with its step trace.
-
-    Subsets of the ground set are bitmasks (bit e for element e); `rank`
-    is the matroid rank function, memoized on this instance.
+    """Output of the ground-set sweep, with its step trace: the points of a
+    representable matroid. Subsets are bitmasks (bit e for element e); a
+    flat's rank is the dimension of the span grown along with it.
     """
 
     ambient: int
     rows: tuple[IntRow, ...]  # integer echelon rows of the ground vectors
     steps: tuple[Subspace, ...]  # steps[k] = lattice element that produced rows[k]
-    _ranks: dict[int, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_ranks", {0: 0})
 
     def __len__(self):
         return len(self.rows)
@@ -97,15 +88,6 @@ class GroundSet:
     def vectors(self) -> tuple[Vector, ...]:
         """The ground vectors as reduced echelon rows, as they are printed."""
         return tuple(rational_row(g) for g in self.rows)
-
-    def rank(self, mask: int) -> int:
-        """Dimension of the span of the ground vectors in the bitmask."""
-        r = self._ranks.get(mask)
-        if r is None:
-            rows = self.rows
-            r = integer_rank([rows[e] for e in range(len(rows)) if mask >> e & 1])
-            self._ranks[mask] = r
-        return r
 
     def indices_in(self, w: Subspace) -> tuple[int, ...]:
         return tuple(i for i, g in enumerate(self.rows) if w.contains(g))
@@ -184,17 +166,12 @@ def _indices(mask: int) -> tuple[int, ...]:
 @total_ordering
 @dataclass(frozen=True)
 class Flat:
-    """A closure-closed subset of the ground set; its span is built on
-    first read."""
+    """A closure-closed subset of the ground set, with its span."""
 
     indices: tuple[int, ...]
     rank: int
     ground_set: GroundSet = field(repr=False)
-
-    @cached_property
-    def subspace(self) -> Subspace:
-        gs = self.ground_set
-        return span([gs.rows[i] for i in self.indices], gs.ambient)
+    subspace: Subspace = field(repr=False, compare=False)
 
     def is_empty(self) -> bool:
         return not self.indices
@@ -209,64 +186,61 @@ class Flat:
         return hash(self.indices)
 
 
-def _close(gs: GroundSet, mask: int, candidates: int) -> int:
-    """The mask plus every candidate element that leaves its rank unchanged."""
-    r = gs.rank(mask)
-    out = mask
-    while candidates:
-        bit = candidates & -candidates
-        candidates ^= bit
-        if gs.rank(mask | bit) == r:
-            out |= bit
-    return out
-
-
 def closure(gs: GroundSet, subset) -> Flat:
-    """Smallest flat containing the given ground-set indices:
-    {e : r(F + e) = r(F)}."""
+    """Smallest flat containing the given ground-set indices: the ground
+    vectors inside their span, of rank the span's dimension."""
     subset = sorted(set(subset))
     for i in subset:
         if not 0 <= i < len(gs):
             raise IndexError(f"ground-set index {i} out of range")
-    mask = _mask(subset)
-    flat = _close(gs, mask, ((1 << len(gs)) - 1) & ~mask)
-    return Flat(indices=_indices(flat), rank=gs.rank(mask), ground_set=gs)
+    sp = span([gs.rows[i] for i in subset], gs.ambient)
+    return Flat(indices=gs.indices_in(sp), rank=sp.dim, ground_set=gs, subspace=sp)
 
 
 def enumerate_flats(gs: GroundSet) -> tuple[Flat, ...]:
     """Every flat exactly once, sorted by (rank, indices); includes the
     empty and full flats, which stability callers filter out.
 
-    Frontier search by rank: the flats covering F partition the elements
-    outside F, so each cover is the closure of F + e for the first element
-    e not yet placed, searched among the unplaced elements only.
+    Frontier search by contraction. Each frontier flat F carries its span S
+    and the residuals modulo S of the elements outside it, all nonzero as F
+    is closed. The covers of F are the classes of those residuals under
+    `primitive_line`: an element f lies in the span of F + e exactly when
+    its residual is a multiple of e's. A cover's span is S adjoined with the
+    class's residual, and an old residual is zero at every pivot column of
+    S, so its residual modulo the cover's span takes one clearing step.
     """
-    everything = (1 << len(gs)) - 1
-    empty = _close(gs, 0, everything)
-    found = {empty}
-    frontier = [empty]
+    zero = Subspace.zero(gs.ambient)
+    found = {0: zero}  # ground vectors are nonzero: the empty set is closed
+    frontier = [(0, zero, list(enumerate(gs.rows)))]
     while frontier:
         nxt = []
-        for flat in frontier:
-            rest = everything & ~flat
-            while rest:
-                e = rest & -rest
-                cover = _close(gs, flat | e, rest & ~e)
-                rest &= ~cover
+        for mask, sp, residuals in frontier:
+            covers: dict = {}
+            for e, res in residuals:
+                line = primitive_line(res)
+                cover = covers.get(line)
+                if cover is None:
+                    covers[line] = [mask | 1 << e, res]
+                else:
+                    cover[0] |= 1 << e
+            for cover, res in covers.values():
                 if cover not in found:
-                    found.add(cover)
-                    nxt.append(cover)
+                    found[cover] = bigger = sp.adjoin(res)
+                    nxt.append((cover, bigger, [
+                        (f, bigger.residual(old)) for f, old in residuals
+                        if not cover >> f & 1
+                    ]))
         frontier = nxt
     return tuple(sorted(
-        Flat(indices=_indices(m), rank=gs.rank(m), ground_set=gs) for m in found
+        Flat(indices=_indices(m), rank=sp.dim, ground_set=gs, subspace=sp)
+        for m, sp in found.items()
     ))
 
 
 def proper_nonzero_flats(gs: GroundSet) -> tuple[Flat, ...]:
-    full_dim = gs.rank((1 << len(gs)) - 1)
-    return tuple(
-        f for f in enumerate_flats(gs) if 0 < f.rank < full_dim
-    )
+    flats = enumerate_flats(gs)
+    full_dim = flats[-1].rank
+    return tuple(f for f in flats if 0 < f.rank < full_dim)
 
 
 def is_compatible_flat(bundle: ToricBundle, flat: Flat):
@@ -301,7 +275,5 @@ def is_subbundle(bundle: ToricBundle, f_space: Subspace) -> bool:
     if f_space.ambient != bundle.rank:
         raise ValueError("subspace from a different fiber")
     gs = bundle_ground_set(bundle, prefer=f_space)
-    inside = gs.indices_in(f_space)
-    if span([gs.rows[i] for i in inside], gs.ambient) != f_space:
-        return False
-    return is_compatible_flat(bundle, closure(gs, inside))[0]
+    flat = closure(gs, gs.indices_in(f_space))
+    return flat.subspace == f_space and is_compatible_flat(bundle, flat)[0]

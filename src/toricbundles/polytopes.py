@@ -84,10 +84,6 @@ class HPolytope:
                 out.append(pt)
         return tuple(out)
 
-    def translate(self, u) -> "HPolytope":
-        shifts = [dot(u, v) for v in self.rays]
-        return HPolytope(self.rays, [c + s for c, s in zip(self.bounds, shifts)])
-
     def __eq__(self, other):
         return (
             isinstance(other, HPolytope)

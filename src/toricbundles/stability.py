@@ -27,7 +27,9 @@ from operator import mul
 
 from .bundle import ToricBundle, check_compatibility
 from .fan import Fan, FanError, Wall, positively_spans, validate_fan, wall_normal
-from .linalg import Subspace, intersect, lattice_frame, subspace_sum, unimodular_inverse
+from .linalg import (
+    Subspace, integer_rank, intersect, lattice_frame, subspace_sum, unimodular_inverse,
+)
 from .matroid import Flat, _mask, bundle_ground_set, proper_nonzero_flats
 from .polytopes import HPolytope, newton_polytope
 
@@ -250,11 +252,12 @@ class StabilityReport:
 
 
 def _slope_table(bundle: ToricBundle):
-    """(c1(E), classes, members, firsts), computed once per bundle from ranks
-    alone and kept on it. `classes` holds the distinct pairs (key, rk F) in
-    first-seen order, where key stands for the class of c1(F) in
-    Pic(X) = Z^rays / M; `members` pairs every proper nonzero flat F, in flat
-    order, with the index of its class; `firsts[k]` is class k's first member.
+    """(c1(E), classes, members, firsts), computed once per bundle from the
+    flats' spans and kept on it. `classes` holds the distinct pairs
+    (key, rk F) in first-seen order, where key stands for the class of c1(F)
+    in Pic(X) = Z^rays / M; `members` pairs every proper nonzero flat F, in
+    flat order, with the index of its class; `firsts[k]` is class k's first
+    member.
 
     The key is the representative of c1(F) that vanishes on the rays of
     sigma, the fan's first maximal cone. Its ray matrix R is unimodular, as
@@ -270,28 +273,44 @@ def _slope_table(bundle: ToricBundle):
     class's first member has its least indices, and classes of equal rank
     are in the order of their first members.
 
-    The sweep spans each filtration value by the ground vectors inside it, so
-    E^i(j) meets the ground set in the level mask {e : level_i(e) >= j}, and
-    dim(E^i(j) n F) = r(E^i(j)) + r(F) - r(E^i(j) u F).
+    The sweep spans each filtration value E = E^i(j) by the ground vectors
+    inside it, so E meets the ground set in its level mask
+    {e : level_i(e) >= j}, a flat that spans E. A flat F carries its span
+    S_F, and dim(E n F) = dim E - d, with d = dim(E + S_F) - dim S_F the rank
+    of the residuals of E's echelon rows modulo S_F. The masks decide when E
+    and F differ by at most one element either way: if no element of E lies
+    outside F, d = 0; if one, e, does, E + S_F = S_F + <e> with e not in S_F
+    (F is a flat), so d = 1. Symmetrically, dim(E n F) = dim F when no
+    element of F lies outside E (as when E is the full fiber), and dim F - 1
+    when one does, which is not in E (E's mask is a flat). Only the other
+    cases take an `integer_rank`.
     """
     if bundle._slopes is None:
         gs = bundle_ground_set(bundle)
-        rank = gs.rank
-        level_masks = []
+        level_sets = []
         for filt in bundle.filtrations:
             levels = [filt.max_level(g) for g in gs.rows]
-            level_masks.append([
-                (a, sum(1 << e for e, lv in enumerate(levels) if lv >= a))
-                for a in filt.thresholds
+            level_sets.append([
+                (a, sp, sum(1 << e for e, lv in enumerate(levels) if lv >= a))
+                for a, sp in filt.steps
             ])
 
-        def c1_of(mask):
-            r_f = rank(mask)
+        def c1_of(mask, s_f):
             coeffs = []
-            for steps in level_masks:
-                dims = [rank(m) + r_f - rank(m | mask) for _, m in steps] + [0]
+            for steps in level_sets:
+                dims = []
+                for _, sp, m in steps:
+                    missed, extra = m & ~mask, mask & ~m
+                    if not missed & (missed - 1):
+                        dims.append(sp.dim - 1 if missed else sp.dim)
+                    elif not extra & (extra - 1):
+                        dims.append(s_f.dim - 1 if extra else s_f.dim)
+                    else:
+                        rows = [s_f.residual(row) for row in sp.int_rows]
+                        dims.append(sp.dim - integer_rank(rows))
+                dims.append(0)
                 coeffs.append(sum(
-                    a * (d - d_next) for (a, _), d, d_next in zip(steps, dims, dims[1:])
+                    a * (d - d_next) for (a, *_), d, d_next in zip(steps, dims, dims[1:])
                 ))
             return coeffs
 
@@ -313,13 +332,14 @@ def _slope_table(bundle: ToricBundle):
         members = []
         firsts = []
         for f in proper_nonzero_flats(gs):
-            k = classes.setdefault((key_of(c1_of(_mask(f.indices))), f.rank), len(classes))
+            k = classes.setdefault(
+                (key_of(c1_of(_mask(f.indices), f.subspace)), f.rank), len(classes)
+            )
             if k == len(firsts):
                 firsts.append(f)
             members.append((f, k))
-        bundle._slopes = (
-            tuple(c1_of((1 << len(gs)) - 1)), tuple(classes), tuple(members), tuple(firsts)
-        )
+        c1_e = c1_of((1 << len(gs)) - 1, Subspace.full(bundle.rank))
+        bundle._slopes = (tuple(c1_e), tuple(classes), tuple(members), tuple(firsts))
     return bundle._slopes
 
 

@@ -1,7 +1,7 @@
 """Reference implementations on rational subspaces, kept for tests only.
 
-The library decides closure, flats and slopes from the integer rank of
-ground-set bitmasks, and profile multiplicities from finite differences over
+The library decides closure, flats and slopes from echelon residuals and
+level masks of the ground set, and profile multiplicities from finite differences over
 a zero-pruned intersection walk. These are the earlier routes through
 `Subspace.contains`, `intersect`, `Fraction` echelon forms and inclusion-
 exclusion over every level tuple, which the differential tests compare

@@ -9,7 +9,7 @@ from toricbundles.bundle import (
     twist_by_character,
 )
 from toricbundles.fan import Fan
-from toricbundles.linalg import Subspace, span
+from toricbundles.linalg import Subspace, dot, span
 from toricbundles.matroid import bundle_ground_set
 from toricbundles.parliament import (
     NotGloballyGeneratedError,
@@ -19,13 +19,18 @@ from toricbundles.parliament import (
     polytope_of,
     reconstruct_filtrations,
 )
-from toricbundles.polytopes import newton_polytope
+from toricbundles.polytopes import HPolytope, newton_polytope
 
 P2_FAN = Fan(2, [(-1, -1), (1, 0), (0, 1)], [(0, 1), (0, 2), (1, 2)])
 
 
 def _pts(pairs):
     return tuple(sorted(tuple(Fraction(x) for x in p) for p in pairs))
+
+
+def _translate(p, u):
+    """P + u: bounds c_i + <u, v_i>."""
+    return HPolytope(p.rays, [c + dot(u, v) for c, v in zip(p.bounds, p.rays)])
 
 
 def test_polytope_of_tangent_v1(p2_tangent):
@@ -150,8 +155,8 @@ def test_translation_covariance_under_twists(documents):
             for g in gs.vectors:
                 base = polytope_of(bundle, g)
                 moved = polytope_of(twisted, g)
-                assert moved.bounds == base.translate(u).bounds
-                assert moved.vertices() == base.translate(u).vertices()
+                assert moved.bounds == _translate(base, u).bounds
+                assert moved.vertices() == _translate(base, u).vertices()
 
 
 def test_globally_generated_examples(documents):

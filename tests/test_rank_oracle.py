@@ -1,6 +1,6 @@
-"""The integer rank oracle against the subspace reference in
+"""The residual and integer rank routes against the subspace reference in
 `subspace_reference.py`: flats, closures, slopes and verdicts must agree
-exactly, and flat enumeration must not fall back to Fraction algebra."""
+exactly, and flat enumeration must do no elimination."""
 import sys
 from fractions import Fraction
 from functools import partial
@@ -43,7 +43,6 @@ from toricbundles.linalg import (
     span,
 )
 from toricbundles.matroid import (
-    GroundSet,
     bundle_ground_set,
     closure,
     enumerate_flats,
@@ -198,10 +197,11 @@ def test_integer_row_clears_denominators():
 
 def test_rank_memo_belongs_to_the_ground_set():
     fan = projective_space(2, range(3))
-    a = bundle_ground_set(tangent_bundle(fan))
-    b = bundle_ground_set(direct_sum(tangent_bundle(fan), tangent_bundle(fan)))
-    assert a.rank(0b111) == 2 and b.rank((1 << len(b)) - 1) == 4
-    assert a._ranks is not b._ranks and (1 << len(b)) - 1 not in a._ranks
+    t, tt = tangent_bundle(fan), direct_sum(tangent_bundle(fan), tangent_bundle(fan))
+    a, b = bundle_ground_set(t), bundle_ground_set(tt)
+    assert a is not b and bundle_ground_set(t) is a and bundle_ground_set(tt) is b
+    assert len(a) == 3 and len(b) == 6
+    assert enumerate_flats(a)[-1].rank == 2 and enumerate_flats(b)[-1].rank == 4
 
 
 def _counting(calls, name, fn):
@@ -214,12 +214,12 @@ def _counting(calls, name, fn):
 def test_flat_enumeration_does_no_subspace_algebra(monkeypatch):
     fan = projective_space(3, range(4))
     gs = bundle_ground_set(direct_sum(tangent_bundle(fan), tangent_bundle(fan)))
-    calls = {"span": 0, "intersect": 0, "contains": 0}
+    calls = {"span": 0, "intersect": 0, "contains": 0, "_bareiss": 0}
     counting = partial(_counting, calls)
 
     # the package binds names with `from .linalg import ...`, so replace the
     # function in every toricbundles namespace that holds it
-    for name in ("span", "intersect"):
+    for name in ("span", "intersect", "_bareiss"):
         original = getattr(linalg, name)
         wrapper = counting(name, original)
         for module_name, module in list(sys.modules.items()):
@@ -230,7 +230,7 @@ def test_flat_enumeration_does_no_subspace_algebra(monkeypatch):
     monkeypatch.setattr(Subspace, "contains", counting("contains", Subspace.contains))
 
     flats = enumerate_flats(gs)
-    assert calls == {"span": 0, "intersect": 0, "contains": 0}
+    assert calls == {"span": 0, "intersect": 0, "contains": 0, "_bareiss": 0}
     assert len(proper_nonzero_flats(gs)) == 142
     assert len(flats) == 144
 
@@ -359,16 +359,17 @@ def test_second_polarization_reads_the_slope_table(monkeypatch):
     fan = projective_space(3)
     bundle = direct_sum(tangent_bundle(fan), tangent_bundle(fan))
     first = check_stability(bundle, validate_polarization(fan, (1, 1, 1, 1)))
-    calls = {"rank": 0, "enumerate_flats": 0, "max_level": 0}
+    calls = {"residual": 0, "_bareiss": 0, "enumerate_flats": 0, "max_level": 0}
     counting = partial(_counting, calls)
 
-    monkeypatch.setattr(GroundSet, "rank", counting("rank", GroundSet.rank))
+    monkeypatch.setattr(Subspace, "residual", counting("residual", Subspace.residual))
+    monkeypatch.setattr(linalg, "_bareiss", counting("_bareiss", linalg._bareiss))
     monkeypatch.setattr(Filtration, "max_level", counting("max_level", Filtration.max_level))
     monkeypatch.setattr(
         matroid, "enumerate_flats", counting("enumerate_flats", enumerate_flats)
     )
     second = check_stability(bundle, validate_polarization(fan, (Fraction(2, 3),) * 4))
-    assert calls == {"rank": 0, "enumerate_flats": 0, "max_level": 0}
+    assert calls == {"residual": 0, "_bareiss": 0, "enumerate_flats": 0, "max_level": 0}
     assert len(second.flat_slopes) == len(first.flat_slopes) == 142
     assert [fs.slope * 3 / 2 for fs in second.flat_slopes] == [
         fs.slope for fs in first.flat_slopes

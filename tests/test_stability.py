@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from subspace_reference import _facet_normalized_volume, brute_force_max_slope
 
 from toricbundles.bundle import (
+    Filtration,
     IncompatibleBundleError,
+    ToricBundle,
     line_bundle,
     twist_by_divisor,
 )
@@ -600,6 +602,50 @@ def test_brute_force_split_fixture(documents):
 
 def test_brute_force_zero_samples_sentinel(p2_tangent):
     assert brute_force_max_slope(p2_tangent.bundle, p2_tangent.polarization(), 0) is None
+
+
+def _tensor(u, w):
+    """u (x) w in C^3 (x) C^3, with e_a (x) e_b at index 3a + b."""
+    return [x * y for x in u for y in w]
+
+
+@pytest.fixture(scope="module")
+def tangent_tensor_square():
+    """T (x) T on P^3 at unit weights, from its flags: on the ray v, the full
+    fiber at level 0, v (x) C^3 + C^3 (x) v at level 1 and v (x) v at level 2.
+    Returns (bundle, polarization, report, Sym^2 T)."""
+    fan = projective_space(3)
+    units = [tuple(int(i == j) for j in range(3)) for i in range(3)]
+    filts = []
+    for v in fan.rays:
+        middle = [_tensor(v, u) for u in units] + [_tensor(u, v) for u in units]
+        filts.append(Filtration(9, [
+            (0, Subspace.full(9)), (1, span(middle, 9)), (2, span([_tensor(v, v)], 9)),
+        ]))
+    bundle = ToricBundle(fan, 9, filts)
+    pol = validate_polarization(fan, (1, 1, 1, 1))
+    sym = span([
+        [x + y for x, y in zip(_tensor(u, w), _tensor(w, u))]
+        for a, u in enumerate(units) for w in units[a:]
+    ], 9)
+    return bundle, pol, check_stability(bundle, pol), sym
+
+
+def test_tangent_tensor_square_has_a_slope_mu_subspace_off_the_flats(tangent_tensor_square):
+    bundle, pol, report, sym = tangent_tensor_square
+    assert len(proper_nonzero_flats(bundle_ground_set(bundle))) == 10777
+    assert report.mu == Fraction(8, 3)
+    assert sym.dim == 6 and slope(bundle, sym, pol) == Fraction(8, 3) == report.mu
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="T (x) T = Sym^2 T + wedge^2 T, and Sym^2 T, of slope mu, is not a flat: "
+    "the flats alone call this bundle stable",
+)
+def test_tangent_tensor_square_is_not_stable(tangent_tensor_square):
+    _, _, report, _ = tangent_tensor_square
+    assert not report.stable
 
 
 def test_order_consistency_across_flat_pairs(documents):
