@@ -1,20 +1,20 @@
 """Reference implementations on rational subspaces, kept for tests only.
 
 The library decides closure, flats and slopes from echelon residuals and
-level masks of the ground set, and profile multiplicities from finite differences over
-a zero-pruned intersection walk. These are the earlier routes through
-`Subspace.contains`, `intersect`, `Fraction` echelon forms and inclusion-
-exclusion over every level tuple, which the differential tests compare
-against, plus the seeded random-subspace slope probe, the basis extension
-that re-eliminated after every row it took, the ground-set sweep that
-spanned the rows inside each lattice element afresh, the per-flat `Fraction`
-stability decision that the integer decision on (c1, rank) classes is
-checked against, the `Fraction` reduced echelon kernel (`_rref`, `reduce`,
-`contains` and the `rref_*` routes built on it) that the integer echelon
-rows of `linalg.Subspace` and `integer_rank` are checked against, and the
-per-dimension facet volumes (vertices, coordinates in an orthogonal lattice
-basis, hull and shoelace for d <= 3) that the lattice-volume recursion
-replaced.
+level masks of the ground set, and profile multiplicities from finite
+differences over a zero-pruned intersection walk. These are the earlier
+routes through `Subspace.contains`, `intersect`, `Fraction` echelon forms
+and inclusion-exclusion over every level tuple, which the differential tests
+compare against, plus the seeded random-subspace slope probe, the basis
+extension that re-eliminated after every row it took, the ground-set sweep
+that spanned the rows inside each lattice element afresh, the per-flat
+`Fraction` stability decision that the integer decision on (c1, rank)
+classes is checked against, the `Fraction` reduced echelon kernel (`_rref`,
+`reduce`, `contains` and the `rref_*` routes built on it) that the integer
+echelon rows of `linalg.Subspace` and `integer_rank` are checked against,
+and the per-dimension facet volumes (vertices, coordinates in an orthogonal
+lattice basis, hull and shoelace for d <= 3) that the lattice-volume
+recursion replaced.
 
 It also holds two sum-condition checks that the package proves rather than
 runs, as the `bundle` and `matroid.is_subbundle` docstrings argue: on every
