@@ -201,36 +201,36 @@ def enumerate_flats(gs: GroundSet) -> tuple[Flat, ...]:
     """Every flat exactly once, sorted by (rank, indices); includes the
     empty and full flats, which stability callers filter out.
 
-    Frontier search by contraction. Each frontier flat F carries its span S
-    and the residuals modulo S of the elements outside it, all nonzero as F
-    is closed. The covers of F are the classes of those residuals under
-    `primitive_line`: an element f lies in the span of F + e exactly when
-    its residual is a multiple of e's. A cover's span is S adjoined with the
-    class's residual, and an old residual is zero at every pivot column of
-    S, so its residual modulo the cover's span takes one clearing step.
+    Search by contraction. Each flat F waiting on the stack carries its
+    span S and the residuals modulo S of the elements outside it, all
+    nonzero as F is closed. The covers of F are the classes of those
+    residuals under `primitive_line`: an element f lies in the span of F + e
+    exactly when its residual is a multiple of e's. A cover's span is S
+    adjoined with the class's residual, and an old residual is zero at every
+    pivot column of S, so its residual modulo the cover's span takes one
+    clearing step. Every flat but the empty one covers a flat, so it is
+    found whatever order the stack is worked in; depth first, the stack
+    holds the residuals of at most |G| flats per rank.
     """
     zero = Subspace.zero(gs.ambient)
     found = {0: zero}  # ground vectors are nonzero: the empty set is closed
-    frontier = [(0, zero, list(enumerate(gs.rows)))]
-    while frontier:
-        nxt = []
-        for mask, sp, residuals in frontier:
-            covers: dict = {}
-            for e, res in residuals:
-                line = primitive_line(res)
-                cover = covers.get(line)
-                if cover is None:
-                    covers[line] = [mask | 1 << e, res]
-                else:
-                    cover[0] |= 1 << e
-            for cover, res in covers.values():
-                if cover not in found:
-                    found[cover] = bigger = sp.adjoin(res)
-                    nxt.append((cover, bigger, [
-                        (f, bigger.residual(old)) for f, old in residuals
-                        if not cover >> f & 1
-                    ]))
-        frontier = nxt
+    stack = [(0, zero, list(enumerate(gs.rows)))]
+    while stack:
+        mask, sp, residuals = stack.pop()
+        covers: dict = {}
+        for e, res in residuals:
+            line = primitive_line(res)
+            cover = covers.get(line)
+            if cover is None:
+                covers[line] = [mask | 1 << e, res]
+            else:
+                cover[0] |= 1 << e
+        for cover, res in covers.values():
+            if cover not in found:
+                found[cover] = bigger = sp.adjoin(res)
+                stack.append((cover, bigger, [
+                    (f, bigger.residual(old)) for f, old in residuals if not cover >> f & 1
+                ]))
     return tuple(sorted(
         Flat(indices=_indices(m), rank=sp.dim, ground_set=gs, subspace=sp)
         for m, sp in found.items()
