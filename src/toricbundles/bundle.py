@@ -149,10 +149,10 @@ class ToricBundle:
     slope table (filled by `stability`).
     """
 
-    __slots__ = ("fan", "rank", "filtrations", "summand_spans",
+    __slots__ = ("fan", "rank", "filtrations",
                  "_walks", "_compatibility", "_ground_set", "_slopes")
 
-    def __init__(self, fan: Fan, rank: int, filtrations, summand_spans=None):
+    def __init__(self, fan: Fan, rank: int, filtrations):
         report = validate_fan(fan)
         if not report.passed:
             raise FanError("bundle over an invalid fan:\n" + report.summary())
@@ -167,7 +167,6 @@ class ToricBundle:
             if f.rank != self.rank:
                 raise ValueError("filtration rank differs from bundle rank")
         self.filtrations = filtrations
-        self.summand_spans = tuple(summand_spans) if summand_spans else None
         self._walks = {}
         self._compatibility = None
         self._ground_set = None
@@ -219,11 +218,7 @@ def direct_sum(b1: ToricBundle, b2: ToricBundle) -> ToricBundle:
             (t, subspace_sum(_embed(f1.value(t), 0, r), _embed(f2.value(t), b1.rank, r)))
             for t in thresholds
         ]))
-    spans = []
-    for offset, part in ((0, b1), (b1.rank, b2)):
-        for prev in part.summand_spans or (Subspace.full(part.rank),):
-            spans.append(_embed(prev, offset, r))
-    return ToricBundle(b1.fan, r, filts, summand_spans=spans)
+    return ToricBundle(b1.fan, r, filts)
 
 
 def twist_by_divisor(b: ToricBundle, coefficients) -> ToricBundle:
@@ -231,7 +226,7 @@ def twist_by_divisor(b: ToricBundle, coefficients) -> ToricBundle:
     if len(coeffs) != len(b.fan.rays):
         raise ValueError("one divisor coefficient per ray required")
     filts = [f.shifted(a) for f, a in zip(b.filtrations, coeffs)]
-    return ToricBundle(b.fan, b.rank, filts, summand_spans=b.summand_spans)
+    return ToricBundle(b.fan, b.rank, filts)
 
 
 def twist_by_character(b: ToricBundle, u) -> ToricBundle:

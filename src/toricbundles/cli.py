@@ -191,27 +191,19 @@ def _cmd_parliament(args, doc, out):
     wall = None if args.wall is None else _wall(doc.fan, args.wall)
     parl = parliament(doc.bundle)
     gg = is_globally_generated(doc.bundle)
-    spans = doc.bundle.summand_spans
-    entries = []
-    for e in parl.entries:
-        summand = None
-        if spans:
-            for si, sp in enumerate(spans):
-                if sp.contains(e.vector):
-                    summand = si
-                    break
-        entries.append(
-            {
-                "index": e.index,
-                "vector": [format_rational(x) for x in e.vector],
-                "bounds": [format_rational(c) for c in e.polytope.bounds],
-                "vertices": [
-                    [format_rational(x) for x in v] for v in e.polytope.vertices()
-                ],
-                "lattice_points": [list(p) for p in e.polytope.lattice_points()],
-                "summand": summand,
-            }
-        )
+    entries = [
+        {
+            "index": e.index,
+            "vector": [format_rational(x) for x in e.vector],
+            "bounds": [format_rational(c) for c in e.polytope.bounds],
+            "vertices": [
+                [format_rational(x) for x in v] for v in e.polytope.vertices()
+            ],
+            "lattice_points": [list(p) for p in e.polytope.lattice_points()],
+            "summand": None,  # schema v1 keeps the field; nothing fills it
+        }
+        for e in parl.entries
+    ]
     marks = [
         {
             "cone": list(doc.fan.max_cones[m.cone_index]),
@@ -244,11 +236,7 @@ def _cmd_parliament(args, doc, out):
         out.write(dumps_report(payload))
         return
     for e in entries:
-        out.write(
-            f"e{e['index']}: bounds ({', '.join(str(c) for c in e['bounds'])})"
-            + (f" [summand {e['summand']}]" if e["summand"] is not None else "")
-            + "\n"
-        )
+        out.write(f"e{e['index']}: bounds ({', '.join(str(c) for c in e['bounds'])})\n")
         out.write(f"  vertices: {e['vertices']}\n")
         out.write(f"  lattice points: {e['lattice_points']}\n")
     for m in marks:

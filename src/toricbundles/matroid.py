@@ -3,16 +3,17 @@
 The ground set construction follows the ascending-dimension sweep over the
 intersection lattice: at each lattice element V whose current ground vectors
 do not yet span it, a complement basis is appended, chosen greedily from the
-echelon basis rows of V (preference pool first when a target subspace is
-given). The traversal order inside a dimension class is the one licensed
-degree of freedom and is pinned to the lexicographic order of canonical
-bases; tests exercise its irrelevance.
+echelon basis rows of V. The traversal order inside a dimension class is the
+one licensed degree of freedom and is pinned to the lexicographic order of
+canonical bases; tests exercise its irrelevance. Each bundle has one ground
+set, swept once.
 
 Closures and flats come from the echelon residuals of the sweep, with no
 rank elimination: the closure of a set is the ground vectors inside its
 span, and the flats covering a flat F are the points of the contraction M/F
 (Oxley, *Matroid Theory*, 3.1), the elements outside F grouped by the line
-of their residual modulo span F, which represents their coset.
+of their residual modulo span F, which represents their coset. Subbundles
+are decided on the maximal cones with no ground set, and need not be flats.
 """
 from __future__ import annotations
 
@@ -103,16 +104,11 @@ class GroundSet:
         return self._lines.get(primitive_line(v))
 
 
-def ground_set(
-    lattice: SubspaceLattice,
-    prefer: Subspace | None = None,
-    shuffle: random.Random | None = None,
-) -> GroundSet:
+def ground_set(lattice: SubspaceLattice, shuffle: random.Random | None = None) -> GroundSet:
     """Sweep the lattice by ascending dimension, appending complement bases.
 
     `shuffle` randomizes the traversal order inside each dimension class
-    (used by the invariance tests); `prefer` makes each complement basis
-    exhaust candidates inside the given subspace first.
+    (used by the invariance tests).
     """
     r = lattice.ambient
     rows: list[IntRow] = []
@@ -135,18 +131,15 @@ def ground_set(
             need = v_elt.dim - spanned.dim
             if need == 0:
                 continue
-            added, _ = extend_basis(spanned, v_elt, need, prefer)
+            added, _ = extend_basis(spanned, v_elt, need)
             assert len(added) == need
             rows.extend(added)
             steps.extend([v_elt] * need)
     return GroundSet(ambient=r, rows=tuple(rows), steps=tuple(steps))
 
 
-def bundle_ground_set(bundle: ToricBundle, prefer: Subspace | None = None) -> GroundSet:
-    """The bundle's ground set, swept once per bundle; a preferred one is
-    swept on every call."""
-    if prefer is not None:
-        return ground_set(build_lattice(bundle), prefer=prefer)
+def bundle_ground_set(bundle: ToricBundle) -> GroundSet:
+    """The bundle's ground set, swept once per bundle."""
     if bundle._ground_set is None:
         bundle._ground_set = ground_set(build_lattice(bundle))
     return bundle._ground_set
@@ -170,7 +163,6 @@ class Flat:
 
     indices: tuple[int, ...]
     rank: int
-    ground_set: GroundSet = field(repr=False)
     subspace: Subspace = field(repr=False, compare=False)
 
     def is_empty(self) -> bool:
@@ -194,7 +186,7 @@ def closure(gs: GroundSet, subset) -> Flat:
         if not 0 <= i < len(gs):
             raise IndexError(f"ground-set index {i} out of range")
     sp = span([gs.rows[i] for i in subset], gs.ambient)
-    return Flat(indices=gs.indices_in(sp), rank=sp.dim, ground_set=gs, subspace=sp)
+    return Flat(indices=gs.indices_in(sp), rank=sp.dim, subspace=sp)
 
 
 def enumerate_flats(gs: GroundSet) -> tuple[Flat, ...]:
@@ -232,7 +224,7 @@ def enumerate_flats(gs: GroundSet) -> tuple[Flat, ...]:
                     (f, bigger.residual(old)) for f, old in residuals if not cover >> f & 1
                 ]))
     return tuple(sorted(
-        Flat(indices=_indices(m), rank=sp.dim, ground_set=gs, subspace=sp)
+        Flat(indices=_indices(m), rank=sp.dim, subspace=sp)
         for m, sp in found.items()
     ))
 
@@ -243,6 +235,19 @@ def proper_nonzero_flats(gs: GroundSet) -> tuple[Flat, ...]:
     return tuple(f for f in flats if 0 < f.rank < full_dim)
 
 
+def _preferred_splits(bundle: ToricBundle, f_space: Subspace):
+    """Per maximal cone, the split taking the rows inside F first, lines
+    as reduced echelon rows; None when one has fewer than dim F inside F."""
+    check_compatibility(bundle)
+    splits = []
+    for ci in range(len(bundle.fan.max_cones)):
+        res = _split_cone(bundle, ci, prefer=f_space)
+        if isinstance(res, IncompatibilityWitness):
+            return None
+        splits.append(tuple((p, rational_row(v)) for p, v in res))
+    return tuple(splits)
+
+
 def is_compatible_flat(bundle: ToricBundle, flat: Flat):
     """Whether some compatible basis meets the flat's span in exactly
     rank-many lines on every maximal cone; returns (verdict, witness bases
@@ -250,30 +255,22 @@ def is_compatible_flat(bundle: ToricBundle, flat: Flat):
 
     The bundle itself must be compatible (raises otherwise).
     """
-    check_compatibility(bundle)
-    f_space = flat.subspace
-    witness = []
-    for ci in range(len(bundle.fan.max_cones)):
-        res = _split_cone(bundle, ci, prefer=f_space)
-        if isinstance(res, IncompatibilityWitness):
-            return False, None
-        witness.append(tuple((p, rational_row(v)) for p, v in res))
-    return True, tuple(witness)
+    witness = _preferred_splits(bundle, flat.subspace)
+    return witness is not None, witness
 
 
 def is_subbundle(bundle: ToricBundle, f_space: Subspace) -> bool:
-    """Whether the subsheaf cut out by F is an equivariant subbundle.
-
-    Requires a preference-built ground set with span(G n F) = F and a
-    compatible flat. The sum condition for the intersected filtrations
-    follows: on each cone the dim F witness lines inside F span F, and a
-    compatible basis meets E_i(j) in exactly its lines with p_i >= j, so
-    E_i(j) n F is spanned by the lines inside F with p_i >= j.
+    """Whether the subsheaf cut out by F is an equivariant subbundle, that
+    is, every maximal cone has a compatible basis with dim F lines inside F
+    (Klyachko, Math. USSR Izv. 35, 1990). The split that takes the rows
+    inside F first finds one when it exists (`bundle`), and its lines inside
+    F span every E_i(j) n F, as a compatible basis meets E_i(j) in exactly
+    its lines with p_i >= j. F need not be a flat: on P^1 x P^1,
+    O(D_x) + O(D_-x) has the ground set e1, e2, and the diagonal is a
+    subbundle, since D_x and D_-x are disjoint.
     """
     if f_space.dim == 0:
         raise ValueError("the zero subspace does not define a subbundle")
     if f_space.ambient != bundle.rank:
         raise ValueError("subspace from a different fiber")
-    gs = bundle_ground_set(bundle, prefer=f_space)
-    flat = closure(gs, gs.indices_in(f_space))
-    return flat.subspace == f_space and is_compatible_flat(bundle, flat)[0]
+    return _preferred_splits(bundle, f_space) is not None

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .bundle import Filtration, ToricBundle, check_compatibility
 from .fan import Fan
 from .linalg import Subspace, Vector, integer_row, span
-from .matroid import GroundSet, bundle_ground_set, closure
+from .matroid import GroundSet, bundle_ground_set
 from .polytopes import HPolytope
 from .stability import c1
 
@@ -42,8 +42,9 @@ class CharacterMark:
     """One associated character of one cone, matched to a parliament label.
 
     `entry` is the ground-set index whose line the compatible basis supplies;
-    when the basis line is not parallel to any ground-set element the mark
-    falls back to the closure flat of the line and is flagged.
+    when the basis line is parallel to no ground-set element the mark is
+    flagged and falls back to the flat of the least lattice element holding
+    the line: the entries whose bounds dominate the line's.
     """
 
     cone_index: int
@@ -76,9 +77,12 @@ def parliament(bundle: ToricBundle) -> Parliament:
     for ci, rows in enumerate(sheet.rows):
         for row in rows:
             entry = gs.index_of_line(row.vector)
-            flat = None if entry is not None else closure(
-                gs, gs.indices_in(span([row.vector], gs.ambient))
-            ).indices
+            flat = None
+            if entry is None:
+                levels = polytope_of(bundle, row.vector).bounds
+                flat = tuple(e.index for e in entries if all(
+                    a >= b for a, b in zip(e.polytope.bounds, levels)
+                ))
             marks.append(
                 CharacterMark(
                     cone_index=ci,

@@ -19,8 +19,8 @@ recursion replaced.
 It also holds two sum-condition checks that the package proves rather than
 runs, as the `bundle` and `matroid.is_subbundle` docstrings argue: on every
 split the greedy pass returns, and, for the intersected filtrations, on the
-witness bases of a subbundle. `verified_splits` runs the first on every
-split the package makes while it is open.
+lines inside F of a split that takes them first. `verified_splits` runs the
+first on every split the package makes while it is open.
 """
 from __future__ import annotations
 
@@ -45,7 +45,7 @@ from toricbundles.linalg import (
     span,
     subspace_sum,
 )
-from toricbundles.matroid import bundle_ground_set, is_compatible_flat, proper_nonzero_flats
+from toricbundles.matroid import bundle_ground_set, proper_nonzero_flats
 from toricbundles.polytopes import HPolytope, convex_polygon
 from toricbundles.stability import FlatSlope, Order, StabilityReport, c1, slope
 
@@ -162,7 +162,7 @@ def extend_basis(spanned, target, need, prefer=None):
     return rows
 
 
-def ground_set(lattice, prefer=None):
+def ground_set(lattice):
     """(rows, steps) of `matroid.ground_set`, with the ground rows inside
     each lattice element spanned afresh before they are extended."""
     r = lattice.ambient
@@ -174,7 +174,7 @@ def ground_set(lattice, prefer=None):
             need = v_elt.dim - spanned.dim
             if need == 0:
                 continue
-            added, _ = linalg.extend_basis(spanned, v_elt, need, prefer)
+            added, _ = linalg.extend_basis(spanned, v_elt, need)
             rows.extend(added)
             steps.extend([v_elt] * need)
     return tuple(rows), tuple(steps)
@@ -411,28 +411,32 @@ def verified_splits():
 
 
 def is_subbundle(bundle, f_space) -> bool:
-    """`matroid.is_subbundle` with the sum condition for the intersected
-    filtrations checked verbatim on the compatible flat's witness bases."""
+    """`matroid.is_subbundle` from a greedy split of each cone built here:
+    inclusion-exclusion multiplicities, profiles by descending sum, and the
+    basis extension above with the rows inside F first. The sum condition
+    for the intersected filtrations is checked verbatim on the split's lines
+    inside F; no count of them is taken and no ground set is built."""
     if f_space.dim == 0:
         raise ValueError("the zero subspace does not define a subbundle")
     if f_space.ambient != bundle.rank:
         raise ValueError("subspace from a different fiber")
-    gs = bundle_ground_set(bundle, prefer=f_space)
-    inside = gs.indices_in(f_space)
-    if span([gs.vectors[i] for i in inside], gs.ambient) != f_space:
-        return False
-    flat = matroid_module.closure(gs, inside)
-    ok, witness = is_compatible_flat(bundle, flat)
-    if not ok:
-        return False
-    for ci, pairs in enumerate(witness):
-        cone = bundle.fan.max_cones[ci]
+    check_compatibility(bundle)
+    rank = bundle.rank
+    for cone in bundle.fan.max_cones:
+        filts = [bundle.filtrations[i] for i in cone]
+        mult, space_at = profile_multiplicities(filts)
+        pairs, spanned = [], Subspace.zero(rank)
+        for p in sorted(mult, key=lambda p: (-sum(p), p)):
+            rows = extend_basis(spanned, space_at(p), mult[p], f_space)
+            assert len(rows) == mult[p], "a compatible bundle splits on every cone"
+            pairs += [(p, v) for v in rows]
+            spanned = span([v for _, v in pairs], rank)
+        assert verify_split(filts, pairs, rank)
         f_pairs = [(p, v) for p, v in pairs if f_space.contains(v)]
-        for k, ray_index in enumerate(cone):
-            filt = bundle.filtrations[ray_index]
+        for k, filt in enumerate(filts):
             for j in filt.thresholds:
                 expected = intersect(filt.value(j), f_space)
-                got = span([v for p, v in f_pairs if p[k] >= j], bundle.rank)
+                got = span([v for p, v in f_pairs if p[k] >= j], rank)
                 if got != expected:
                     return False
     return True

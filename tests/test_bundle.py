@@ -200,7 +200,6 @@ def test_line_bundle_and_direct_sum_ground_sets():
     both = direct_sum(d0, d12)
     assert both.rank == 2
     assert len(bundle_ground_set(both)) == 2
-    assert both.summand_spans is not None and len(both.summand_spans) == 2
 
 
 def test_twist_by_character_identity_and_translation():

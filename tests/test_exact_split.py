@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from subspace_reference import is_subbundle as reference_is_subbundle
 from subspace_reference import matrix_rank, verify_cone_split
 from test_io_cli import run_cli
+from test_rank_oracle import flag_bundles
 
 from toricbundles.bundle import (
     Filtration,
@@ -89,6 +90,20 @@ def test_subbundle_verdicts_match_the_reference(case, data):
     for rows in data.draw(st.lists(st.lists(vectors, min_size=1, max_size=rank), max_size=4)):
         spaces.append(span(rows, rank))
     for f_space in spaces:
+        if f_space.dim:
+            assert is_subbundle(bundle, f_space) == reference_is_subbundle(bundle, f_space)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_subbundle_verdicts_on_surfaces_match_the_reference(data):
+    """Random flags on the hexagon and on Hirzebruch surfaces, where every
+    bundle is compatible, against subspaces spanned by the flags' vectors:
+    these are often subbundles that are not flats."""
+    bundle, _, pool = data.draw(flag_bundles())
+    rank = bundle.rank
+    for _ in range(3):
+        f_space = span(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=rank)), rank)
         if f_space.dim:
             assert is_subbundle(bundle, f_space) == reference_is_subbundle(bundle, f_space)
 

@@ -2,16 +2,18 @@ import random
 from itertools import product
 
 import pytest
+from generators import hirzebruch
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from subspace_reference import ground_set as reference_ground_set
 from subspace_reference import is_subbundle as reference_is_subbundle
 from test_exact_split import basis_bundles
 
-from toricbundles.bundle import check_compatibility, line_bundle
+from toricbundles.bundle import check_compatibility, direct_sum, line_bundle
 from toricbundles.fan import Fan
 from toricbundles.linalg import Subspace, intersect, span
 from toricbundles.matroid import (
+    SubspaceLattice,
     build_lattice,
     bundle_ground_set,
     closure,
@@ -104,23 +106,25 @@ def test_ground_set_spans_every_lattice_element(documents):
 
 
 def test_ground_set_matches_the_fresh_span_sweep(documents):
+    # the reordered lattices sweep their dimension classes in other orders,
+    # so other ground sets are checked too
     for doc in documents.values():
         lat = build_lattice(doc.bundle)
-        for prefer in (None,) + lat.elements:
-            gs = ground_set(lat, prefer=prefer)
-            assert (gs.rows, gs.steps) == reference_ground_set(lat, prefer)
+        orders = [lat.elements, lat.elements[::-1]]
+        orders += [random.Random(seed).sample(lat.elements, len(lat.elements)) for seed in range(4)]
+        for elements in orders:
+            reordered = SubspaceLattice(lat.ambient, tuple(elements))
+            gs = ground_set(reordered)
+            assert (gs.rows, gs.steps) == reference_ground_set(reordered)
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=basis_bundles(), data=st.data())
 def test_ground_set_matches_the_fresh_span_sweep_on_basis_bundles(case, data):
-    bundle, basis = case
-    lat = build_lattice(bundle)
-    prefer = data.draw(st.sampled_from(
-        (None, span(basis[:1], bundle.rank), span(basis[1:], bundle.rank)) + lat.elements
-    ))
-    gs = ground_set(lat, prefer=prefer)
-    assert (gs.rows, gs.steps) == reference_ground_set(lat, prefer)
+    lat = build_lattice(case[0])
+    reordered = SubspaceLattice(lat.ambient, tuple(data.draw(st.permutations(lat.elements))))
+    gs = ground_set(reordered)
+    assert (gs.rows, gs.steps) == reference_ground_set(reordered)
 
 
 def test_ground_set_lines_of_tangent(p2_tangent):
@@ -257,6 +261,21 @@ def test_subbundle_hirzebruch(documents):
         bundle = documents[name].bundle
         assert is_subbundle(bundle, span([(0, 1)], 2))
         assert reference_is_subbundle(bundle, span([(0, 1)], 2))
+
+
+def test_subbundle_off_the_flats():
+    # O(D_x) + O(D_-x) on P^1 x P^1: the diagonal map O -> E vanishes
+    # nowhere, as D_x and D_-x are disjoint, so the diagonal line is a
+    # subbundle; the ground set is e2, e1, so no flat spans it
+    fan = hirzebruch(0)  # rays x, y, -x, -y
+    bundle = direct_sum(line_bundle(fan, (1, 0, 0, 0)), line_bundle(fan, (0, 0, 1, 0)))
+    diagonal = span([(1, 1)], 2)
+    assert bundle_ground_set(bundle).vectors == ((0, 1), (1, 0))
+    assert is_subbundle(bundle, diagonal)
+    assert reference_is_subbundle(bundle, diagonal)
+    for v in ((1, 0), (0, 1), (1, -1), (2, 3)):
+        assert is_subbundle(bundle, span([v], 2))
+    assert is_subbundle(bundle, Subspace.full(2))
 
 
 def test_tangent_p2_has_no_nontrivial_subbundle(p2_tangent):

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -212,3 +213,39 @@ def test_parliament_requires_compatibility():
         parliament(bundle)
     with pytest.raises(IncompatibleBundleError):
         is_globally_generated(bundle)
+
+
+FLAGGED_MARK = {
+    "schema_version": 1,
+    "fan": {"dim": 2, "rays": [[-1, -1], [1, 0], [0, 1]], "max_cones": [[0, 1], [0, 2], [1, 2]]},
+    "bundle": {
+        "rank": 2,
+        "filtrations": [
+            {"steps": [{"max_j": 0, "space": "full"}, {"max_j": 1, "space": [[0, 1]]}]},
+            {"steps": [{"max_j": 0, "space": "full"}, {"max_j": 1, "space": [[-1, 1]]}]},
+            {"steps": [{"max_j": 0, "space": "full"}]},
+        ],
+    },
+    "polarization": {"weights": [1, 1, 1]},
+}
+
+
+def test_flagged_mark_falls_back_to_the_least_lattice_element(tmp_path):
+    """Cones (0, 2) and (1, 2) split off the line (1, 0), parallel to
+    neither ground vector (0, 1), (1, -1). The least lattice element holding
+    it is the full fiber, so its flat is both entries, whose span holds the
+    line."""
+    from test_io_cli import run_cli
+
+    from toricbundles.io import parse_document
+
+    path = tmp_path / "flagged.json"
+    path.write_text(json.dumps(FLAGGED_MARK))
+    parl = parliament(parse_document(path.read_text()).bundle)
+    assert parl.ground_set.vectors == ((0, 1), (1, -1))
+    flagged = [(m.cone_index, m.line, m.flat_indices) for m in parl.marks if m.flagged]
+    assert flagged == [(1, (1, 0), (0, 1)), (2, (1, 0), (0, 1))]
+    code, out, _ = run_cli(["parliament", path])
+    assert code == 0
+    assert "cone [0, 2]: character [0, 0] -> flat [0, 1]\n" in out
+    assert "cone [1, 2]: character [0, 0] -> flat [0, 1]\n" in out

@@ -43,9 +43,12 @@ from toricbundles.linalg import (
     span,
 )
 from toricbundles.matroid import (
+    SubspaceLattice,
+    build_lattice,
     bundle_ground_set,
     closure,
     enumerate_flats,
+    ground_set,
     proper_nonzero_flats,
 )
 from toricbundles.stability import (
@@ -151,17 +154,16 @@ def test_tangent_powers_with_shuffled_rays_match_reference(data):
 
 @settings(max_examples=30, deadline=None)
 @given(case=flag_bundles(), data=st.data())
-def test_preference_ground_set_matches_reference(case, data):
+def test_reordered_ground_set_matches_reference(case, data):
+    """Flats and closures of a ground set swept from the bundle's lattice
+    in another order, and the slope table of the bundle's own."""
     bundle, _, pool = case
-    picks = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=bundle.rank))
-    f_space = span(picks, bundle.rank)
-    if f_space.dim == 0:
-        return
-    gs = bundle_ground_set(bundle, prefer=f_space)
+    lat = build_lattice(bundle)
+    gs = ground_set(SubspaceLattice(lat.ambient, tuple(data.draw(st.permutations(lat.elements)))))
     _assert_same_flats(gs)
-    inside = gs.indices_in(f_space)
+    picks = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=bundle.rank))
+    inside = gs.indices_in(span(picks, bundle.rank))
     assert closure(gs, inside).indices == reference_closure(gs, inside)[0]
-    # slopes are only taken on the bundle's own ground set
     c1_e, classes, members, firsts = _slope_table(bundle)
     assert c1_e == c1(bundle)
     assert len(set(classes)) == len(classes)
@@ -169,7 +171,6 @@ def test_preference_ground_set_matches_reference(case, data):
     sigma = bundle.fan.max_cones[0]
     for flat, k in members:
         key, rank = classes[k]
-        assert flat.ground_set is bundle_ground_set(bundle)
         assert not any(key[i] for i in sigma)
         difference = [a - b for a, b in zip(c1(bundle, flat.subspace), key)]
         assert _character_of(bundle.fan, difference) is not None
