@@ -17,7 +17,6 @@ are decided on the maximal cones with no ground set, and need not be flats.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from functools import cached_property, total_ordering
 from math import lcm
@@ -104,21 +103,15 @@ class GroundSet:
         return self._lines.get(primitive_line(v))
 
 
-def ground_set(lattice: SubspaceLattice, shuffle: random.Random | None = None) -> GroundSet:
-    """Sweep the lattice by ascending dimension, appending complement bases.
-
-    `shuffle` randomizes the traversal order inside each dimension class
-    (used by the invariance tests).
-    """
+def ground_set(lattice: SubspaceLattice) -> GroundSet:
+    """Sweep the lattice by ascending dimension, appending complement bases;
+    inside a dimension class, in the order of `lattice.elements`."""
     r = lattice.ambient
     rows: list[IntRow] = []
     steps: list[Subspace] = []
     maxdim = max((w.dim for w in lattice.elements), default=0)
     for k in range(1, maxdim + 1):
-        group = list(lattice.by_dimension(k))
-        if shuffle is not None:
-            shuffle.shuffle(group)
-        for v_elt in group:
+        for v_elt in lattice.by_dimension(k):
             # the span of the rows already inside, grown by their residuals
             spanned = Subspace.zero(r)
             for g in rows:

@@ -28,7 +28,7 @@ from operator import mul
 from .bundle import ToricBundle, check_compatibility
 from .fan import Fan, FanError, Wall, positively_spans, validate_fan, wall_normal
 from .linalg import (
-    Subspace, integer_rank, intersect, lattice_frame, subspace_sum, unimodular_inverse,
+    Subspace, integer_rank, lattice_frame, span, unimodular_inverse,
 )
 from .matroid import Flat, _mask, bundle_ground_set, proper_nonzero_flats
 from .polytopes import HPolytope, newton_polytope
@@ -434,7 +434,6 @@ class Segment:
     character_sigma_prime: tuple[int, ...]
     degree: int
     entry_sigma: int | None
-    entry_sigma_prime: int | None
 
 
 @dataclass(frozen=True)
@@ -445,135 +444,104 @@ class RestrictionReport:
     segments: tuple[Segment, ...]
 
 
-def _graded_pair_multiplicities(bundle, tau_filts, q, filt_a, filt_b):
-    """Joint multiplicities of the two extra-ray filtrations on the graded
-    piece of a tau-profile class."""
-    r = bundle.rank
-    inter = Subspace.full(r)
-    for f, level in zip(tau_filts, q):
-        inter = intersect(inter, f.value(level))
-    deeper = Subspace.zero(r)
-    for k, f in enumerate(tau_filts):
-        deeper = subspace_sum(deeper, intersect(inter, f.value(q[k] + 1)))
-
-    def imdim(i, j):
-        x = intersect(intersect(inter, filt_a.value(i)), filt_b.value(j))
-        return subspace_sum(x, deeper).dim - deeper.dim
-
-    mult = {}
-    for i in filt_a.thresholds:
-        for j in filt_b.thresholds:
-            m = (
-                imdim(i, j)
-                - imdim(i + 1, j)
-                - imdim(i, j + 1)
-                + imdim(i + 1, j + 1)
-            )
-            if m < 0:
-                raise VerificationError(
-                    f"negative graded multiplicity {m} at levels ({i}, {j})"
-                )
-            if m:
-                mult[(i, j)] = m
-    return mult
-
-
 def restrict_to_curve(bundle: ToricBundle, wall: Wall) -> RestrictionReport:
-    """Splitting degrees of the bundle on the invariant curve of a wall.
+    """Splitting degrees of the bundle on the invariant curve of a wall tau,
+    read from the compatible bases of its two cones sigma = tau + a and
+    sigma' = tau + b (Hering-Mustata-Payne, Ann. Inst. Fourier 60, 2010).
 
-    Characters of the two adjacent cones are paired inside equal tau-profile
-    classes; within a class of multiplicity > 1 the pairing follows the
-    two-filtration refinement on the graded piece and is re-verified against
-    both marginals.
+    Each cone's basis is adapted to its own rays' filtrations, so on a
+    tau-profile class q, deeper(q) = sum_t S(q + e_t) is spanned by the
+    sigma-lines of tau-profile >= q and != q, and the graded piece
+    S(q) / deeper(q) by the class's lines of either cone. The images there
+    of A_i = E_a(i) and B_j = E_b(j) are spanned by the class's sigma-lines
+    of a-level >= i and sigma'-lines of b-level >= j, each set independent
+    modulo deeper(q), so dim(A_i n B_j) on the graded piece is their count
+    less the rank of their residuals modulo deeper(q). The joint
+    multiplicity m(i, j) is the 2-fold finite difference of that dimension
+    over the levels present, and m(i, j) lines of a-level i are paired with
+    m(i, j) lines of b-level j, in sheet order. Paired characters differ by
+    a multiple of the wall normal, which is the degree.
     """
     sheet = check_compatibility(bundle)
     fan = bundle.fan
-    cone_a = fan.max_cones[wall.sigma]
-    cone_b = fan.max_cones[wall.sigma_prime]
-    tau_pos_a = [cone_a.index(i) for i in wall.tau]
-    tau_pos_b = [cone_b.index(i) for i in wall.tau]
-    extra_pos_a = cone_a.index(wall.extra_sigma)
-    extra_pos_b = cone_b.index(wall.extra_sigma_prime)
 
-    def classes(rows, tau_pos):
+    def classes(cone_index, extra):
+        """tau-profile -> [(extra-ray level, row)], in sheet order."""
+        cone = fan.max_cones[cone_index]
+        tau_pos = [cone.index(i) for i in wall.tau]
+        x = cone.index(extra)
         by_profile: dict[tuple[int, ...], list] = {}
-        for row in rows:
+        for row in sheet.rows[cone_index]:
             key = tuple(row.profile[k] for k in tau_pos)
-            by_profile.setdefault(key, []).append(row)
+            by_profile.setdefault(key, []).append((row.profile[x], row))
         return by_profile
 
-    cls_a = classes(sheet.rows[wall.sigma], tau_pos_a)
-    cls_b = classes(sheet.rows[wall.sigma_prime], tau_pos_b)
-    if sorted((k, len(v)) for k, v in cls_a.items()) != sorted(
-        (k, len(v)) for k, v in cls_b.items()
-    ):
+    cls_a = classes(wall.sigma, wall.extra_sigma)
+    cls_b = classes(wall.sigma_prime, wall.extra_sigma_prime)
+    if {q: len(v) for q, v in cls_a.items()} != {q: len(v) for q, v in cls_b.items()}:
         raise VerificationError(
             "tau-profile class multisets differ between the two cones"
         )
 
-    tau_filts = [bundle.filtrations[i] for i in wall.tau]
-    filt_a = bundle.filtrations[wall.extra_sigma]
-    filt_b = bundle.filtrations[wall.extra_sigma_prime]
-    m_tau = wall_normal(fan, wall)
-
-    gs = bundle_ground_set(bundle)
     pairs = []
     for q in sorted(cls_a):
-        rows_a = sorted(cls_a[q], key=lambda r: -r.profile[extra_pos_a])
-        rows_b = sorted(cls_b[q], key=lambda r: -r.profile[extra_pos_b])
-        if len(rows_a) == 1:
-            pairs.append((rows_a[0], rows_b[0]))
+        lines_a, lines_b = cls_a[q], cls_b[q]
+        if len(lines_a) == 1:
+            pairs.append((lines_a[0][1], lines_b[0][1]))
             continue
-        mult = _graded_pair_multiplicities(bundle, tau_filts, q, filt_a, filt_b)
-        if sum(mult.values()) != len(rows_a):
-            raise VerificationError(
-                f"graded multiplicities sum to {sum(mult.values())} "
-                f"but the class has {len(rows_a)} characters"
-            )
-        remaining_a = list(rows_a)
-        remaining_b = list(rows_b)
-        for (i, j), m in sorted(mult.items(), reverse=True):
-            for _ in range(m):
-                ra = next(
-                    (r for r in remaining_a if r.profile[extra_pos_a] == i), None
-                )
-                rb = next(
-                    (r for r in remaining_b if r.profile[extra_pos_b] == j), None
-                )
-                if ra is None or rb is None:
-                    raise VerificationError(
-                        "pairing marginals do not match the character profiles"
-                    )
-                remaining_a.remove(ra)
-                remaining_b.remove(rb)
-                pairs.append((ra, rb))
-        if remaining_a or remaining_b:
-            raise VerificationError("unpaired characters after refinement")
+        deeper = span([
+            row.vector
+            for p, lines in cls_a.items() if p != q and all(x >= y for x, y in zip(p, q))
+            for _, row in lines
+        ], bundle.rank)
+        res_a = [(lv, deeper.residual(row.vector)) for lv, row in lines_a]
+        res_b = [(lv, deeper.residual(row.vector)) for lv, row in lines_b]
+        levels_a = sorted({lv for lv, _ in lines_a})
+        levels_b = sorted({lv for lv, _ in lines_b})
+        meet = {}
+        for i in levels_a:
+            for j in levels_b:
+                rows = [r for lv, r in res_a if lv >= i] + [r for lv, r in res_b if lv >= j]
+                meet[i, j] = len(rows) - integer_rank(rows)
+        next_a = dict(zip(levels_a, levels_a[1:]))
+        next_b = dict(zip(levels_b, levels_b[1:]))
+        by_a: dict[int, list] = {}
+        by_b: dict[int, list] = {}
+        for lv, row in reversed(lines_a):
+            by_a.setdefault(lv, []).append(row)
+        for lv, row in reversed(lines_b):
+            by_b.setdefault(lv, []).append(row)
+        for i in reversed(levels_a):
+            for j in reversed(levels_b):
+                i1, j1 = next_a.get(i), next_b.get(j)
+                m = (meet[i, j] - meet.get((i1, j), 0) - meet.get((i, j1), 0)
+                     + meet.get((i1, j1), 0))
+                for _ in range(m):
+                    if not (by_a[i] and by_b[j]):
+                        raise VerificationError(
+                            "joint multiplicities do not match the character profiles"
+                        )
+                    pairs.append((by_a[i].pop(), by_b[j].pop()))
 
-    degrees = []
+    m_tau = wall_normal(fan, wall)
+    k = next(i for i, x in enumerate(m_tau) if x != 0)
+    gs = bundle_ground_set(bundle)
     segments = []
     for ra, rb in pairs:
         diff = tuple(a - b for a, b in zip(ra.character, rb.character))
-        k = next(i for i, x in enumerate(m_tau) if x != 0)
-        if diff[k] % m_tau[k] != 0:
-            raise VerificationError("character difference not on the wall lattice")
         a = diff[k] // m_tau[k]
         if tuple(a * x for x in m_tau) != diff:
-            raise VerificationError("character difference leaves tau-perp")
-        degrees.append(a)
-        segments.append(
-            Segment(
-                character_sigma=ra.character,
-                character_sigma_prime=rb.character,
-                degree=a,
-                entry_sigma=gs.index_of_line(ra.vector),
-                entry_sigma_prime=gs.index_of_line(rb.vector),
-            )
-        )
-    degrees_sorted = tuple(sorted(degrees))
+            raise VerificationError("character difference is not a multiple of the wall normal")
+        segments.append(Segment(
+            character_sigma=ra.character,
+            character_sigma_prime=rb.character,
+            degree=a,
+            entry_sigma=gs.index_of_line(ra.vector),
+        ))
+    degrees = tuple(sorted(s.degree for s in segments))
     return RestrictionReport(
         wall=wall,
-        degrees=degrees_sorted,
-        semistable=len(set(degrees_sorted)) <= 1,
+        degrees=degrees,
+        semistable=len(set(degrees)) <= 1,
         segments=tuple(segments),
     )

@@ -74,19 +74,34 @@ def _weights(draw, kind):
     return (t0, t1, t0, t1 + a * t0)
 
 
+SURFACE_KINDS = ("hexagon", "h0", "h1", "h2", "h3")
+
+
+def surface(kind):
+    return hexagon() if kind == "hexagon" else hirzebruch(int(kind[1:]))
+
+
 @st.composite
 def flag_bundles(draw):
     """(bundle, polarization, vector pool): random integer flags of rank 2-4
-    on the hexagon or a Hirzebruch fan. Flags draw from one small pool of
-    vectors, so lines and planes coincide across rays."""
-    kind = draw(st.sampled_from(("hexagon", "h0", "h1", "h2", "h3")))
-    fan = hexagon() if kind == "hexagon" else hirzebruch(int(kind[1:]))
-    rank = draw(st.integers(2, 4))
+    on the hexagon or a Hirzebruch fan."""
+    kind = draw(st.sampled_from(SURFACE_KINDS))
+    fan = surface(kind)
+    bundle, pool = draw(flag_bundles_on(fan, draw(st.integers(2, 4))))
+    return bundle, validate_polarization(fan, draw(_weights(kind))), pool
+
+
+@st.composite
+def flag_bundles_on(draw, fan, rank):
+    """(bundle, vector pool): a random integer flag of the given rank on
+    each ray of the fan, of at most two proper steps. Flags draw from one
+    small pool of vectors, so lines and planes coincide across rays."""
     entries = st.lists(st.integers(-2, 2), min_size=rank, max_size=rank).map(tuple)
     pool = draw(st.lists(entries, min_size=rank + 1, max_size=rank + 3))
     filts = []
     for _ in fan.rays:
-        dims = sorted(draw(st.sets(st.integers(1, rank - 1), max_size=2)), reverse=True)
+        dims = [] if rank == 1 else sorted(
+            draw(st.sets(st.integers(1, rank - 1), max_size=2)), reverse=True)
         order = draw(st.permutations(range(len(pool))))
         vecs = independent_prefix(pool, order, dims[0] if dims else 0, rank)
         j = draw(st.integers(-2, 2))
@@ -95,8 +110,7 @@ def flag_bundles(draw):
             j += draw(st.integers(1, 2))
             steps.append((j, span(vecs[:k], rank)))
         filts.append(Filtration(rank, steps))
-    bundle = ToricBundle(fan, rank, filts)
-    return bundle, validate_polarization(fan, draw(_weights(kind))), pool
+    return ToricBundle(fan, rank, filts), pool
 
 
 def _character_of(fan, divisor):
