@@ -476,6 +476,13 @@ def restrict_to_curve(bundle: ToricBundle, wall: Wall) -> RestrictionReport:
             by_profile.setdefault(key, []).append((row.profile[x], row))
         return by_profile
 
+    def by_level(lines):
+        """extra-ray level -> its rows, last first, so pop() keeps sheet order."""
+        rows: dict[int, list] = {}
+        for lv, row in reversed(lines):
+            rows.setdefault(lv, []).append(row)
+        return rows
+
     cls_a = classes(wall.sigma, wall.extra_sigma)
     cls_b = classes(wall.sigma_prime, wall.extra_sigma_prime)
     if {q: len(v) for q, v in cls_a.items()} != {q: len(v) for q, v in cls_b.items()}:
@@ -496,8 +503,8 @@ def restrict_to_curve(bundle: ToricBundle, wall: Wall) -> RestrictionReport:
         ], bundle.rank)
         res_a = [(lv, deeper.residual(row.vector)) for lv, row in lines_a]
         res_b = [(lv, deeper.residual(row.vector)) for lv, row in lines_b]
-        levels_a = sorted({lv for lv, _ in lines_a})
-        levels_b = sorted({lv for lv, _ in lines_b})
+        by_a, by_b = by_level(lines_a), by_level(lines_b)
+        levels_a, levels_b = sorted(by_a), sorted(by_b)
         meet = {}
         for i in levels_a:
             for j in levels_b:
@@ -505,12 +512,6 @@ def restrict_to_curve(bundle: ToricBundle, wall: Wall) -> RestrictionReport:
                 meet[i, j] = len(rows) - integer_rank(rows)
         next_a = dict(zip(levels_a, levels_a[1:]))
         next_b = dict(zip(levels_b, levels_b[1:]))
-        by_a: dict[int, list] = {}
-        by_b: dict[int, list] = {}
-        for lv, row in reversed(lines_a):
-            by_a.setdefault(lv, []).append(row)
-        for lv, row in reversed(lines_b):
-            by_b.setdefault(lv, []).append(row)
         for i in reversed(levels_a):
             for j in reversed(levels_b):
                 i1, j1 = next_a.get(i), next_b.get(j)
