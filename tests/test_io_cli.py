@@ -6,7 +6,10 @@ from pathlib import Path
 import pytest
 
 from toricbundles.cli import main
-from toricbundles.io import SchemaError, dumps_report, format_rational, parse_document
+from toricbundles.fan import walls
+from toricbundles.io import (
+    SchemaError, dumps_report, format_rational, load_document, parse_document,
+)
 
 from conftest import FIXTURE_DIR, FIXTURE_NAMES, fixture_path
 
@@ -138,6 +141,32 @@ def check_text_transcript():
 
 def test_cli_check_text_matches_the_golden_transcript():
     assert check_text_transcript().encode() == CHECK_TEXT_GOLDEN.read_bytes()
+
+
+CLI_TEXT_GOLDEN = Path(__file__).resolve().parent / "cli_text.golden"
+
+
+def cli_text_transcript():
+    """Text-format validate, flats, parliament, reconstruct, weights of the
+    all-ones divisor and restrict on every wall, on every fixture. Each run
+    is a `$ ...` line naming its command, its stdout, an `exit N` line and
+    its stderr lines, each behind `! `."""
+    blocks = []
+    for path in sorted(FIXTURE_DIR.glob("*.json")):
+        fan = load_document(path).fan
+        runs = [[name] for name in ("validate", "flats", "parliament", "reconstruct")]
+        runs.append(["weights", f"--divisor={','.join('1' * len(fan.rays))}"])
+        runs += [["restrict", "--wall", str(k)] for k in range(len(walls(fan)))]
+        for command, *extra in runs:
+            args = [command, f"fixtures/{path.name}", *extra]
+            code, out, err = run_cli([command, path, *extra])
+            stderr = "".join(f"! {line}\n" for line in err.splitlines())
+            blocks.append(f"$ toricbundles {' '.join(args)}\n{out}exit {code}\n{stderr}")
+    return "".join(blocks)
+
+
+def test_cli_text_matches_the_golden_transcript():
+    assert cli_text_transcript().encode() == CLI_TEXT_GOLDEN.read_bytes()
 
 
 def test_cli_check_json_round_trips():
