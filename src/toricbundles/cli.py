@@ -1,9 +1,13 @@
 """Command-line interface.
 
 Subcommands: check, parliament, flats, restrict, weights, reconstruct,
-validate. Exit codes: 0 computed, 1 invalid input, 2 incompatible bundle,
-3 internal verification failure. Results go to stdout, diagnostics to
-stderr; json output is byte-deterministic for fixed input and flags.
+validate. Each `_cmd_*` returns its JSON payload, without the
+schema_version and command keys, and its text lines, read from that payload.
+`main` alone writes stdout: the payload with the two keys, or the lines. It
+alone maps exceptions to exit codes: 0 computed, 1 invalid input (an
+unreadable or malformed document, or any other ValueError), 2 incompatible
+bundle, 3 internal verification failure. Diagnostics go to stderr; json
+output is byte-deterministic for fixed input and flags.
 """
 from __future__ import annotations
 
@@ -11,7 +15,7 @@ import argparse
 import sys
 
 from .bundle import IncompatibleBundleError, check_compatibility
-from .fan import FanError, validate_fan, walls
+from .fan import validate_fan, walls
 from .io import (
     SCHEMA_VERSION,
     SchemaError,
@@ -26,12 +30,7 @@ from .matroid import (
     enumerate_flats,
     is_compatible_flat,
 )
-from .parliament import (
-    NotGloballyGeneratedError,
-    is_globally_generated,
-    parliament,
-    reconstruct_filtrations,
-)
+from .parliament import is_globally_generated, parliament, reconstruct_filtrations
 from .stability import (
     PolarizationError,
     VerificationError,
@@ -130,64 +129,51 @@ def _require_polarization(doc):
     return pol
 
 
-def _flat_payload(fs):
-    return {
-        "indices": list(fs.flat.indices),
-        "rank": fs.flat.rank,
-        "slope": format_rational(fs.slope),
-        "relation": fs.relation.value,
-    }
+def _wall(fan, index):
+    """The wall with the given --wall index, or a SchemaError."""
+    ws = walls(fan)
+    if not 0 <= index < len(ws):
+        raise SchemaError([("--wall", f"wall index out of range 0..{len(ws) - 1}")])
+    return ws[index]
 
 
-def _cmd_check(args, doc, out):
-    pol = _require_polarization(doc)
-    report = check_stability(doc.bundle, pol)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "check",
-        "seed": args.seed,
-        "mu": format_rational(report.mu),
-        "semistable": report.semistable,
-    }
-    if not args.semistable_only:
-        payload["stable"] = report.stable
-        payload["flats"] = [_flat_payload(fs) for fs in report.flat_slopes]
-        payload["witness"] = (
-            None
-            if report.witness is None
-            else {
-                "indices": list(report.witness.indices),
-                "rank": report.witness.rank,
-                "slope": format_rational(report.witness_slope),
-            }
-        )
-    if args.format == "json":
-        out.write(dumps_report(payload))
-        return
+def _cmd_check(args, doc):
+    report = check_stability(doc.bundle, _require_polarization(doc))
+    mu = format_rational(report.mu)
+    payload = {"seed": args.seed, "mu": mu, "semistable": report.semistable}
     if args.semistable_only:
         verdict = "SEMISTABLE" if report.semistable else "NOT SEMISTABLE"
-    else:
-        verdict = (
-            "STABLE"
-            if report.stable
-            else ("SEMISTABLE (not stable)" if report.semistable else "UNSTABLE")
-        )
-    line = f"{verdict}, mu(E) = {format_rational(report.mu)}"
-    if report.witness is not None and not args.semistable_only:
-        line += (
-            f", max flat slope {format_rational(report.witness_slope)}"
-            f" at flat {list(report.witness.indices)}"
-        )
-    out.write(line + "\n")
-    if not args.semistable_only:
-        for fs in report.flat_slopes:
-            out.write(
-                f"  flat {list(fs.flat.indices)} (rank {fs.flat.rank}): "
-                f"slope {format_rational(fs.slope)} {fs.relation.value} mu\n"
-            )
+        return payload, [f"{verdict}, mu(E) = {mu}"]
+    flats = [
+        {
+            "indices": list(fs.flat.indices),
+            "rank": fs.flat.rank,
+            "slope": format_rational(fs.slope),
+            "relation": fs.relation.value,
+        }
+        for fs in report.flat_slopes
+    ]
+    witness = None if report.witness is None else {
+        "indices": list(report.witness.indices),
+        "rank": report.witness.rank,
+        "slope": format_rational(report.witness_slope),
+    }
+    payload.update(stable=report.stable, flats=flats, witness=witness)
+    verdict = (
+        "STABLE"
+        if report.stable
+        else ("SEMISTABLE (not stable)" if report.semistable else "UNSTABLE")
+    )
+    line = f"{verdict}, mu(E) = {mu}"
+    if witness is not None:
+        line += f", max flat slope {witness['slope']} at flat {witness['indices']}"
+    return payload, [line] + [
+        f"  flat {f['indices']} (rank {f['rank']}): slope {f['slope']} {f['relation']} mu"
+        for f in flats
+    ]
 
 
-def _cmd_parliament(args, doc, out):
+def _cmd_parliament(args, doc):
     wall = None if args.wall is None else _wall(doc.fan, args.wall)
     parl = parliament(doc.bundle)
     gg = is_globally_generated(doc.bundle)
@@ -214,8 +200,6 @@ def _cmd_parliament(args, doc, out):
         for m in parl.marks
     ]
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "parliament",
         "seed": args.seed,
         "entries": entries,
         "characters": marks,
@@ -232,68 +216,59 @@ def _cmd_parliament(args, doc, out):
             raise SchemaError(
                 [("--svg", f"cannot write {args.svg}: {exc.strerror}")]
             ) from exc
-    if args.format == "json":
-        out.write(dumps_report(payload))
-        return
+    lines = []
     for e in entries:
-        out.write(f"e{e['index']}: bounds ({', '.join(str(c) for c in e['bounds'])})\n")
-        out.write(f"  vertices: {e['vertices']}\n")
-        out.write(f"  lattice points: {e['lattice_points']}\n")
+        lines += [
+            f"e{e['index']}: bounds ({', '.join(str(c) for c in e['bounds'])})",
+            f"  vertices: {e['vertices']}",
+            f"  lattice points: {e['lattice_points']}",
+        ]
     for m in marks:
         label = f"e{m['entry']}" if m["entry"] is not None else f"flat {m['flat']}"
-        out.write(f"cone {m['cone']}: character {m['character']} -> {label}\n")
-    out.write(f"globally generated: {'yes' if gg else 'no'}\n")
+        lines.append(f"cone {m['cone']}: character {m['character']} -> {label}")
+    lines.append(f"globally generated: {'yes' if gg else 'no'}")
+    return payload, lines
 
 
-def _wall(fan, index):
-    """The wall with the given --wall index, or a SchemaError."""
-    ws = walls(fan)
-    if not 0 <= index < len(ws):
-        raise SchemaError([("--wall", f"wall index out of range 0..{len(ws) - 1}")])
-    return ws[index]
-
-
-def _cmd_flats(args, doc, out):
+def _cmd_flats(args, doc):
     gs = bundle_ground_set(doc.bundle)
-    flats = enumerate_flats(gs)
-    full_rank = doc.bundle.rank
-    payload_flats = []
-    for flat in flats:
-        trivial = flat.rank == 0 or flat.rank == full_rank
+    flats = []
+    for flat in enumerate_flats(gs):
         compatible, _ = is_compatible_flat(doc.bundle, flat)
-        payload_flats.append(
+        flats.append(
             {
                 "indices": list(flat.indices),
                 "rank": flat.rank,
                 "compatible": compatible,
-                "trivial": trivial,
+                "trivial": flat.rank in (0, doc.bundle.rank),
             }
         )
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "flats",
         "seed": args.seed,
-        "ground_set": [
-            [format_rational(x) for x in v] for v in gs.vectors
-        ],
-        "flats": payload_flats,
+        "ground_set": [[format_rational(x) for x in v] for v in gs.vectors],
+        "flats": flats,
     }
-    if args.format == "json":
-        out.write(dumps_report(payload))
-        return
-    out.write(f"ground set: {len(gs)} elements\n")
-    for f in payload_flats:
-        mark = "compatible" if f["compatible"] else "not compatible"
-        extra = " (trivial)" if f["trivial"] else ""
-        out.write(f"flat {f['indices']} rank {f['rank']}: {mark}{extra}\n")
+    return payload, [f"ground set: {len(gs)} elements"] + [
+        f"flat {f['indices']} rank {f['rank']}: "
+        f"{'compatible' if f['compatible'] else 'not compatible'}"
+        f"{' (trivial)' if f['trivial'] else ''}"
+        for f in flats
+    ]
 
 
-def _cmd_restrict(args, doc, out):
+def _cmd_restrict(args, doc):
     wall = _wall(doc.fan, args.wall)
     report = restrict_to_curve(doc.bundle, wall)
+    segments = [
+        {
+            "from": list(s.character_sigma),
+            "to": list(s.character_sigma_prime),
+            "degree": s.degree,
+            "entry": s.entry_sigma,
+        }
+        for s in report.segments
+    ]
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "restrict",
         "seed": args.seed,
         "wall": {
             "index": args.wall,
@@ -303,30 +278,17 @@ def _cmd_restrict(args, doc, out):
         },
         "degrees": list(report.degrees),
         "semistable": report.semistable,
-        "segments": [
-            {
-                "from": list(s.character_sigma),
-                "to": list(s.character_sigma_prime),
-                "degree": s.degree,
-                "entry": s.entry_sigma,
-            }
-            for s in report.segments
-        ],
+        "segments": segments,
     }
-    if args.format == "json":
-        out.write(dumps_report(payload))
-        return
     verdict = "semistable" if report.semistable else "NOT semistable"
-    out.write(f"degrees: {list(report.degrees)}; restriction {verdict}\n")
-    for s in payload["segments"]:
-        out.write(
-            f"  {s['from']} -> {s['to']}: degree {s['degree']}"
-            + (f" (e{s['entry']})" if s["entry"] is not None else "")
-            + "\n"
-        )
+    return payload, [f"degrees: {payload['degrees']}; restriction {verdict}"] + [
+        f"  {s['from']} -> {s['to']}: degree {s['degree']}"
+        + (f" (e{s['entry']})" if s["entry"] is not None else "")
+        for s in segments
+    ]
 
 
-def _cmd_weights(args, doc, out):
+def _cmd_weights(args, doc):
     errors = []
     coeffs = []
     for i, part in enumerate(args.divisor.split(",")):
@@ -339,44 +301,29 @@ def _cmd_weights(args, doc, out):
         raise SchemaError(
             [("--divisor", f"expected {len(doc.fan.rays)} coefficients, got {len(coeffs)}")]
         )
-    pol = weights_from_divisor(doc.fan, coeffs)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "weights",
-        "divisor": [format_rational(c) for c in coeffs],
-        "weights": [format_rational(t) for t in pol.weights],
-    }
-    if args.format == "json":
-        out.write(dumps_report(payload))
-        return
-    out.write("(" + ", ".join(str(format_rational(t)) for t in pol.weights) + ")\n")
+    weights = [format_rational(t) for t in weights_from_divisor(doc.fan, coeffs).weights]
+    payload = {"divisor": [format_rational(c) for c in coeffs], "weights": weights}
+    return payload, ["(" + ", ".join(str(t) for t in weights) + ")"]
 
 
-def _cmd_reconstruct(args, doc, out):
+def _cmd_reconstruct(args, doc):
     parl = parliament(doc.bundle)
     recovered = reconstruct_filtrations(parl, doc.fan, doc.bundle.rank)
     matches = [rec == orig for rec, orig in zip(recovered, doc.bundle.filtrations)]
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "reconstruct",
-        "seed": args.seed,
-        "per_ray_match": matches,
-        "match": all(matches),
-    }
-    if args.format == "json":
-        out.write(dumps_report(payload))
-        return
-    for i, ok in enumerate(matches):
-        out.write(f"ray {i}: {'recovered' if ok else 'MISMATCH'}\n")
-    out.write("round-trip: " + ("exact" if all(matches) else "FAILED") + "\n")
+    payload = {"seed": args.seed, "per_ray_match": matches, "match": all(matches)}
+    return payload, [
+        f"ray {i}: {'recovered' if ok else 'MISMATCH'}" for i, ok in enumerate(matches)
+    ] + ["round-trip: " + ("exact" if all(matches) else "FAILED")]
 
 
-def _cmd_validate(args, doc, out):
+def _cmd_validate(args, doc):
     report = validate_fan(doc.fan)
     sheet = check_compatibility(doc.bundle)
+    characters = {
+        str(list(cone)): [list(c) for c in sheet.characters(ci)]
+        for ci, cone in enumerate(doc.fan.max_cones)
+    }
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "validate",
         "fan": {
             "passed": report.passed,
             "smooth": report.smooth,
@@ -385,21 +332,11 @@ def _cmd_validate(args, doc, out):
             "dual_graph_connected": report.dual_graph_connected,
         },
         "compatible": True,
-        "characters": {
-            str(list(doc.fan.max_cones[ci])): [list(c) for c in sheet.characters(ci)]
-            for ci in range(len(doc.fan.max_cones))
-        },
+        "characters": characters,
     }
-    if args.format == "json":
-        out.write(dumps_report(payload))
-        return
-    out.write(report.summary() + "\n")
-    out.write("compatibility: OK\n")
-    for ci in range(len(doc.fan.max_cones)):
-        out.write(
-            f"u({list(doc.fan.max_cones[ci])}) = "
-            f"{[list(c) for c in sheet.characters(ci)]}\n"
-        )
+    return payload, [report.summary(), "compatibility: OK"] + [
+        f"u({cone}) = {chars}" for cone, chars in characters.items()
+    ]
 
 
 _COMMANDS = {
@@ -420,6 +357,9 @@ def main(argv=None) -> int:
         return EXIT_INVALID if exc.code else EXIT_OK
     try:
         doc = load_document(args.document)
+        if args.trace:
+            _trace(doc)
+        payload, lines = _COMMANDS[args.command](args, doc)
     except OSError as exc:
         print(f"cannot read {args.document}: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -427,23 +367,20 @@ def main(argv=None) -> int:
         for path, message in exc.errors:
             print(f"{path}: {message}", file=sys.stderr)
         return EXIT_INVALID
-    try:
-        if args.trace:
-            _trace(doc)
-        _COMMANDS[args.command](args, doc, sys.stdout)
-    except SchemaError as exc:
-        for path, message in exc.errors:
-            print(f"{path}: {message}", file=sys.stderr)
-        return EXIT_INVALID
-    except (PolarizationError, FanError, NotGloballyGeneratedError, ValueError) as exc:
-        if isinstance(exc, IncompatibleBundleError):
-            print(f"incompatible bundle: {exc}", file=sys.stderr)
-            return EXIT_INCOMPATIBLE
+    except IncompatibleBundleError as exc:
+        print(f"incompatible bundle: {exc}", file=sys.stderr)
+        return EXIT_INCOMPATIBLE
+    except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INVALID
     except VerificationError as exc:
         print(f"internal verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
+    if args.format == "json":
+        header = {"schema_version": SCHEMA_VERSION, "command": args.command}
+        sys.stdout.write(dumps_report({**header, **payload}))
+    else:
+        sys.stdout.write("".join(f"{line}\n" for line in lines))
     return EXIT_OK
 
 

@@ -3,7 +3,9 @@
 One input format: a JSON document with a fan block, a bundle block of
 per-ray filtrations, and an optional polarization block. Rationals travel as
 integers or "p/q" strings; floats are rejected everywhere. Parsing is total:
-malformed input yields a SchemaError carrying (path, message) pairs.
+malformed input yields a SchemaError carrying (path, message) pairs, and a
+file that is not UTF-8, JSON nested past the recursion limit or an integer
+past Python's digit limit yields one at "$".
 """
 from __future__ import annotations
 
@@ -138,6 +140,10 @@ def parse_document(text: str) -> BundleDocument:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError([("$", f"not valid JSON: {exc.msg} (line {exc.lineno})")])
+    except RecursionError:
+        raise SchemaError([("$", "not valid JSON: nested too deeply")]) from None
+    except ValueError:  # Python's limit on the digits of an int
+        raise SchemaError([("$", "not valid JSON: an integer has too many digits")]) from None
     doc = _expect_dict(raw, "$", errors,
                        {"schema_version", "fan", "bundle", "polarization"})
     if doc is None:
@@ -245,7 +251,14 @@ def parse_document(text: str) -> BundleDocument:
 
 def load_document(path) -> BundleDocument:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_document(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            byte = exc.object[exc.start]
+            raise SchemaError(
+                [("$", f"not UTF-8 text (byte 0x{byte:02x}: {exc.reason})")]
+            ) from None
+    return parse_document(text)
 
 
 def dumps_report(report: dict) -> str:

@@ -26,7 +26,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .bundle import ToricBundle, check_compatibility
-from .fan import Fan, FanError, Wall, positively_spans, validate_fan, wall_normal
+from .fan import Fan, FanError, Wall, validate_fan, wall_normal
 from .linalg import (
     Subspace, integer_rank, lattice_frame, span, unimodular_inverse,
 )
@@ -43,41 +43,52 @@ class Polarization:
     weights: tuple[Fraction, ...]
 
 
-def validate_polarization(fan: Fan, weights) -> Polarization:
-    """Nonnegative weights with exact balance and spanning positivity.
-
-    The weights are scaled to integers over their common denominator once,
-    and the sign, balance and positive-ray tests all read those integers.
-    When every weight is positive the spanning rays are all the rays, so the
-    answer is the fan's own positive-span check, kept on its report."""
-    weights = tuple(weights)
+def _scaled_weights(fan: Fan, weights: tuple) -> tuple[int, list[int]]:
+    """(den, t): ints or Fractions as integers t over their common
+    denominator den, after the tests every polarization passes. Raises
+    TypeError on a float, and PolarizationError unless there is one weight
+    per ray, none is negative and sum t_i v_i = 0. Builds a `Fraction` only
+    for the balance defect it reports."""
     if any(isinstance(x, float) for x in weights):
         raise TypeError(f"float weight in {weights}: give ints or Fractions")
-    t = tuple(Fraction(x) for x in weights)
-    if len(t) != len(fan.rays):
+    if len(weights) != len(fan.rays):
         raise PolarizationError(
-            f"got {len(t)} weights for {len(fan.rays)} rays"
+            f"got {len(weights)} weights for {len(fan.rays)} rays"
         )
-    den = lcm(*(x.denominator for x in t))
-    scaled = [x.numerator * (den // x.denominator) for x in t]
-    if any(n < 0 for n in scaled):
+    den = lcm(*(x.denominator for x in weights))
+    t = [x.numerator * (den // x.denominator) for x in weights]
+    if any(n < 0 for n in t):
         raise PolarizationError("weights must be nonnegative")
-    balance = [sum(n * v[i] for n, v in zip(scaled, fan.rays)) for i in range(fan.dim)]
+    balance = [sum(map(mul, t, column)) for column in zip(*fan.rays)]
     if any(balance):
         balance = tuple(Fraction(x, den) for x in balance)
         raise PolarizationError(
             f"weights violate the Minkowski balance: sum t_i v_i = {balance}"
         )
-    positive_rays = [v for n, v in zip(scaled, fan.rays) if n > 0]
-    if len(positive_rays) == len(fan.rays):
+    return den, t
+
+
+def validate_polarization(fan: Fan, weights) -> Polarization:
+    """Nonnegative weights with exact balance and spanning positivity.
+
+    `_scaled_weights` tests the type, count, signs and balance in integers.
+    The rays of positive weight P positively span exactly when they span:
+    sum_{i in P} t_i v_i = 0 with every t_i > 0 puts each -v_j, j in P, in
+    the cone of P, so that cone is closed under negation and equals the
+    span of P. When some weight is zero the test is the rank of P. When
+    every weight is positive P is all the rays, and the answer is the fan's
+    own positive-span check, kept on its report."""
+    weights = tuple(weights)
+    _, t = _scaled_weights(fan, weights)
+    if all(t):
         spanning = validate_fan(fan).positively_spanning
     else:
-        spanning = positively_spans(positive_rays, fan.dim)
+        spanning = integer_rank([v for n, v in zip(t, fan.rays) if n]) == fan.dim
     if not spanning:
         raise PolarizationError(
             "rays with positive weight do not positively span"
         )
-    return Polarization(weights=t)
+    return Polarization(weights=tuple(Fraction(x) for x in weights))
 
 
 def _lattice_volume(table: dict, halfspaces: dict, dim: int):
@@ -346,11 +357,13 @@ def _slope_table(bundle: ToricBundle):
 def check_stability(bundle: ToricBundle, pol: Polarization) -> StabilityReport:
     """Compare the slope of every proper nonzero flat with mu(E), in
     integers: one dot product per (Pic class, rank) class of the slope
-    table. Raises PolarizationError unless there is one weight per ray, no
-    weight is negative, some weight is positive and sum t_i v_i = 0: the
-    classes need the balance, and a slope is a degree only under nonnegative,
-    nonzero weights. Spanning positivity is the job of
-    `validate_polarization`, which needs the fan's positive-span test.
+    table. The weights pass the guard of `validate_polarization`
+    (`_scaled_weights`: TypeError on a float, PolarizationError unless there
+    is one weight per ray, none is negative and sum t_i v_i = 0, with the
+    same messages) and raise PolarizationError if all are zero: the classes
+    need the balance, and a slope is a degree only under nonnegative,
+    nonzero weights. Spanning positivity is left to `validate_polarization`,
+    which needs the fan's positive-span test.
 
     With the weights scaled to integers t over den, a flat of class
     (key, rk F) has slope n / (den rk F) with n = sum key_i t_i, equal to
@@ -364,17 +377,9 @@ def check_stability(bundle: ToricBundle, pol: Polarization) -> StabilityReport:
     and that member is the witness. A `Fraction` is built only for mu and
     for each class's slope, which the flats of the class share.
     """
-    rays = bundle.fan.rays
-    den = lcm(*(x.denominator for x in pol.weights))
-    t = [x.numerator * (den // x.denominator) for x in pol.weights]
-    if len(t) != len(rays):
-        raise PolarizationError(f"got {len(t)} weights for {len(rays)} rays")
-    if any(n < 0 for n in t):
-        raise PolarizationError("weights must be nonnegative")
+    den, t = _scaled_weights(bundle.fan, pol.weights)
     if not any(t):
         raise PolarizationError("weights are all zero")
-    if any(sum(map(mul, t, column)) for column in zip(*rays)):
-        raise PolarizationError("weights violate the Minkowski balance sum t_i v_i = 0")
     check_compatibility(bundle)
     c1_e, classes, members, firsts = _slope_table(bundle)
     r, n_e = bundle.rank, sum(map(mul, c1_e, t))

@@ -109,6 +109,25 @@ def test_parse_is_total_on_garbage():
         parse_document(json.dumps([1, 2, 3]))
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"\xff\xfe{}", "not UTF-8 text (byte 0xff: invalid start byte)"),
+        (b"[" * 100_000, "not valid JSON: nested too deeply"),
+        (b'{"schema_version": ' + b"1" * 5000 + b"}",
+         "not valid JSON: an integer has too many digits"),
+    ],
+    ids=["non-utf8", "deep-nesting", "long-integer"],
+)
+def test_unreadable_documents_are_schema_errors_at_the_root(tmp_path, content, message):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    with pytest.raises(SchemaError) as exc:
+        load_document(path)
+    assert exc.value.errors == [("$", message)]
+    assert run_cli(["check", path]) == (1, "", f"$: {message}\n")
+
+
 def test_cli_check_text(p2_tangent):
     code, out, err = run_cli(["check", fixture_path("p2_tangent")])
     assert code == 0

@@ -6,6 +6,8 @@ intersection numbers D_a.C = D_b.C = 1, D_t.C = x_t, and D_i.C = 0 for every
 other ray. The relation is solved here on sigma's rays, which form a basis.
 """
 import json
+import random
+from operator import mul
 
 from generators import blown_up_p3, hexagon, hirzebruch, p1_cubed, projective_space
 from hypothesis import given, settings
@@ -57,6 +59,23 @@ def test_tangent_bundle_restrictions_match_the_closed_form():
             assert restrict_to_curve(doubled, wall).degrees == tuple(sorted(want * 2)), (name, wall)
             count += 2
     assert count == 124
+
+
+def test_line_bundle_restrictions_are_the_intersection_numbers():
+    """O(sum a_i D_i)|C_tau has degree sum_i a_i D_i.C_tau = a_a + a_b +
+    sum_{t in tau} x_t a_t: 310 restrictions, five seeded line bundles with
+    coefficients in [-3, 3] on each generated fan."""
+    rng = random.Random(5)
+    count = 0
+    for name, fan in GENERATED_FANS.items():
+        for _ in range(5):
+            a = [rng.randint(-3, 3) for _ in fan.rays]
+            bundle = line_bundle(fan, a)
+            for wall in walls(fan):
+                degree = sum(map(mul, a, curve_degrees(fan, wall)))
+                assert restrict_to_curve(bundle, wall).degrees == (degree,), (name, a, wall)
+                count += 1
+    assert count == 310
 
 
 def test_tangent_plus_trivial_on_p2():
