@@ -166,14 +166,15 @@ CLI_TEXT_GOLDEN = Path(__file__).resolve().parent / "cli_text.golden"
 
 
 def cli_text_transcript():
-    """Text-format validate, flats, parliament, reconstruct, weights of the
-    all-ones divisor and restrict on every wall, on every fixture. Each run
-    is a `$ ...` line naming its command, its stdout, an `exit N` line and
-    its stderr lines, each behind `! `."""
+    """Text-format validate, validate --trace, flats, parliament,
+    reconstruct, weights of the all-ones divisor and restrict on every wall,
+    on every fixture. Each run is a `$ ...` line naming its command, its
+    stdout, an `exit N` line and its stderr lines, each behind `! `."""
     blocks = []
     for path in sorted(FIXTURE_DIR.glob("*.json")):
         fan = load_document(path).fan
-        runs = [[name] for name in ("validate", "flats", "parliament", "reconstruct")]
+        runs = [["validate"], ["validate", "--trace"]]
+        runs += [[name] for name in ("flats", "parliament", "reconstruct")]
         runs.append(["weights", f"--divisor={','.join('1' * len(fan.rays))}"])
         runs += [["restrict", "--wall", str(k)] for k in range(len(walls(fan)))]
         for command, *extra in runs:
