@@ -62,7 +62,7 @@ from .stability import (
     weights_from_divisor,
 )
 from .io import BundleDocument, SchemaError, load_document, parse_document
-from .svg import SvgOptions, render_svg
+from .svg import render_svg
 
 __version__ = "0.1.0"
 

@@ -42,11 +42,9 @@ from .fan import Fan, FanError, validate_fan
 from .linalg import (
     IntRow,
     Subspace,
-    Vector,
     dot,
     extend_basis,
     intersect,
-    rational_row,
     span,
     subspace_sum,
     unimodular_inverse,
@@ -247,7 +245,7 @@ class SheetRow:
 
     profile: tuple[int, ...]  # jump level on each ray of the cone, cone order
     character: tuple[int, ...]
-    vector: Vector
+    row: IntRow  # the line's integer echelon row
 
 
 @dataclass(frozen=True)
@@ -392,8 +390,7 @@ def check_compatibility(bundle: ToricBundle) -> CharacterSheet:
                 break
             inverse = unimodular_inverse([bundle.fan.rays[i] for i in cone])
             rows.append(tuple(
-                SheetRow(profile=p, character=tuple(dot(r, p) for r in inverse),
-                         vector=rational_row(v))
+                SheetRow(profile=p, character=tuple(dot(r, p) for r in inverse), row=v)
                 for p, v in outcome
             ))
         else:

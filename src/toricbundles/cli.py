@@ -16,6 +16,7 @@ import sys
 
 from .bundle import IncompatibleBundleError, check_compatibility
 from .fan import validate_fan, walls
+from .linalg import rational_row
 from .io import (
     SCHEMA_VERSION,
     SchemaError,
@@ -38,7 +39,7 @@ from .stability import (
     restrict_to_curve,
     weights_from_divisor,
 )
-from .svg import SvgOptions, render_svg
+from .svg import render_svg
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -115,7 +116,7 @@ def _trace(doc):
         for row in rows:
             print(
                 f"    u = {row.character}, profile {row.profile}, "
-                f"line {tuple(str(x) for x in row.vector)}",
+                f"line {tuple(str(x) for x in rational_row(row.row))}",
                 file=out,
             )
 
@@ -211,7 +212,7 @@ def _cmd_parliament(args, doc):
             segments = restrict_to_curve(doc.bundle, wall).segments
         try:
             with open(args.svg, "w", encoding="utf-8") as fh:
-                fh.write(render_svg(parl, SvgOptions(wall_segments=segments)))
+                fh.write(render_svg(parl, segments))
         except OSError as exc:
             raise SchemaError(
                 [("--svg", f"cannot write {args.svg}: {exc.strerror}")]

@@ -158,9 +158,6 @@ class Flat:
     rank: int
     subspace: Subspace = field(repr=False, compare=False)
 
-    def is_empty(self) -> bool:
-        return not self.indices
-
     def __eq__(self, other):
         return isinstance(other, Flat) and self.indices == other.indices
 
@@ -230,21 +227,21 @@ def proper_nonzero_flats(gs: GroundSet) -> tuple[Flat, ...]:
 
 def _preferred_splits(bundle: ToricBundle, f_space: Subspace):
     """Per maximal cone, the split taking the rows inside F first, lines
-    as reduced echelon rows; None when one has fewer than dim F inside F."""
+    as integer echelon rows; None when one has fewer than dim F inside F."""
     check_compatibility(bundle)
     splits = []
     for ci in range(len(bundle.fan.max_cones)):
         res = _split_cone(bundle, ci, prefer=f_space)
         if isinstance(res, IncompatibilityWitness):
             return None
-        splits.append(tuple((p, rational_row(v)) for p, v in res))
+        splits.append(res)
     return tuple(splits)
 
 
 def is_compatible_flat(bundle: ToricBundle, flat: Flat):
     """Whether some compatible basis meets the flat's span in exactly
     rank-many lines on every maximal cone; returns (verdict, witness bases
-    as (profile, line) pairs per cone, each line a reduced echelon row).
+    as (profile, line) pairs per cone, each line an integer echelon row).
 
     The bundle itself must be compatible (raises otherwise).
     """

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .bundle import Filtration, ToricBundle, check_compatibility
 from .fan import Fan
-from .linalg import Subspace, Vector, integer_row, span
+from .linalg import IntRow, Subspace, Vector, integer_row, span
 from .matroid import GroundSet, bundle_ground_set
 from .polytopes import HPolytope
 from .stability import c1
@@ -41,15 +41,16 @@ class ParliamentEntry:
 class CharacterMark:
     """One associated character of one cone, matched to a parliament label.
 
-    `entry` is the ground-set index whose line the compatible basis supplies;
-    when the basis line is parallel to no ground-set element the mark is
+    `line` is the compatible basis line's integer echelon row, as the
+    character sheet holds it. `entry` is the ground-set index whose line it
+    is; when the line is parallel to no ground-set element the mark is
     flagged and falls back to the flat of the least lattice element holding
     the line: the entries whose bounds dominate the line's.
     """
 
     cone_index: int
     character: tuple[int, ...]
-    line: Vector
+    line: IntRow
     entry: int | None
     flat_indices: tuple[int, ...] | None
 
@@ -76,10 +77,10 @@ def parliament(bundle: ToricBundle) -> Parliament:
     marks = []
     for ci, rows in enumerate(sheet.rows):
         for row in rows:
-            entry = gs.index_of_line(row.vector)
+            entry = gs.index_of_line(row.row)
             flat = None
             if entry is None:
-                levels = polytope_of(bundle, row.vector).bounds
+                levels = polytope_of(bundle, row.row).bounds
                 flat = tuple(e.index for e in entries if all(
                     a >= b for a, b in zip(e.polytope.bounds, levels)
                 ))
@@ -87,7 +88,7 @@ def parliament(bundle: ToricBundle) -> Parliament:
                 CharacterMark(
                     cone_index=ci,
                     character=row.character,
-                    line=row.vector,
+                    line=row.row,
                     entry=entry,
                     flat_indices=flat,
                 )
@@ -108,7 +109,7 @@ def is_globally_generated(bundle: ToricBundle) -> bool:
     sheet = check_compatibility(bundle)
     for rows in sheet.rows:
         for row in rows:
-            poly = polytope_of(bundle, row.vector)
+            poly = polytope_of(bundle, row.row)
             if not poly.contains(row.character):
                 return False
     return True

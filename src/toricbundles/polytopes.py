@@ -24,10 +24,9 @@ class HPolytope:
 
     def __init__(self, rays, bounds):
         self.rays = tuple(tuple(int(x) for x in r) for r in rays)
-        bounds = tuple(bounds)
-        if any(isinstance(c, float) for c in bounds):
-            raise TypeError(f"float bound in {bounds}: give ints or Fractions")
-        self.bounds = tuple(Fraction(c) for c in bounds)
+        self.bounds = tuple(bounds)
+        if any(isinstance(c, float) for c in self.bounds):
+            raise TypeError(f"float bound in {self.bounds}: give ints or Fractions")
         if len(self.rays) != len(self.bounds):
             raise ValueError("one bound per ray required")
         self._vertices = None

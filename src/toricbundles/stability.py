@@ -502,12 +502,12 @@ def restrict_to_curve(bundle: ToricBundle, wall: Wall) -> RestrictionReport:
             pairs.append((lines_a[0][1], lines_b[0][1]))
             continue
         deeper = span([
-            row.vector
+            row.row
             for p, lines in cls_a.items() if p != q and all(x >= y for x, y in zip(p, q))
             for _, row in lines
         ], bundle.rank)
-        res_a = [(lv, deeper.residual(row.vector)) for lv, row in lines_a]
-        res_b = [(lv, deeper.residual(row.vector)) for lv, row in lines_b]
+        res_a = [(lv, deeper.residual(row.row)) for lv, row in lines_a]
+        res_b = [(lv, deeper.residual(row.row)) for lv, row in lines_b]
         by_a, by_b = by_level(lines_a), by_level(lines_b)
         levels_a, levels_b = sorted(by_a), sorted(by_b)
         meet = {}
@@ -542,7 +542,7 @@ def restrict_to_curve(bundle: ToricBundle, wall: Wall) -> RestrictionReport:
             character_sigma=ra.character,
             character_sigma_prime=rb.character,
             degree=a,
-            entry_sigma=gs.index_of_line(ra.vector),
+            entry_sigma=gs.index_of_line(ra.row),
         ))
     degrees = tuple(sorted(s.degree for s in segments))
     return RestrictionReport(

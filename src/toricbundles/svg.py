@@ -1,13 +1,11 @@
 """Deterministic SVG rendering of two-dimensional parliaments.
 
 Coordinates are scaled by the common denominator of all vertices so the
-lattice grid stays exact; output is byte-identical for fixed input and
-options.
+lattice grid stays exact, and every pixel is computed in integers; output is
+byte-identical for fixed input and segments.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from .parliament import Parliament
@@ -20,11 +18,6 @@ _FILLS = (
 _MARKS = ("circle", "square", "diamond", "triangle", "pentagon", "cross")
 _CELL = 48  # pixels per lattice unit
 _MARGIN = 36
-
-
-@dataclass(frozen=True)
-class SvgOptions:
-    wall_segments: tuple = ()  # optional restriction segments to overlay
 
 
 def _marker(kind, x, y, s, color):
@@ -53,34 +46,36 @@ def _marker(kind, x, y, s, color):
     )
 
 
-def render_svg(parl: Parliament, options: SvgOptions | None = None) -> str:
+def render_svg(parl: Parliament, wall_segments=()) -> str:
+    """The parliament's polytopes, grid and character marks, with the given
+    restriction segments overlaid. Every coordinate is scaled once to the
+    integer X = x * denom, and a pixel is (X - x0) * _CELL // denom: every
+    plotted X lies in [x0, x1], so floor division truncates."""
     if parl.fan.dim != 2:
         raise ValueError("SVG rendering is only defined for surfaces (d = 2)")
-    opts = options or SvgOptions()
 
     vertex_sets = [e.polytope.vertices() for e in parl.entries]
     points = [v for vs in vertex_sets for v in vs]
-    points += [tuple(Fraction(x) for x in m.character) for m in parl.marks]
-    for seg in opts.wall_segments:
-        points.append(tuple(Fraction(x) for x in seg.character_sigma))
-        points.append(tuple(Fraction(x) for x in seg.character_sigma_prime))
-    if not points:
-        points = [(Fraction(0), Fraction(0))]
+    points += [m.character for m in parl.marks]
+    for seg in wall_segments:
+        points += [seg.character_sigma, seg.character_sigma_prime]
     denom = lcm(*(x.denominator for p in points for x in p), 1)
-    xs = [x * denom for x, _ in points]
-    ys = [y * denom for _, y in points]
+
+    def scaled(p):
+        return tuple(x.numerator * (denom // x.denominator) for x in p)
+
+    xs, ys = zip(*([scaled(p) for p in points] or [(0, 0)]))
     x0, x1 = min(xs) - denom, max(xs) + denom
     y0, y1 = min(ys) - denom, max(ys) + denom
-    unit = Fraction(_CELL, denom)
 
     def px(x):
-        return _MARGIN + int((Fraction(x) * denom - x0) * unit)
+        return _MARGIN + (x - x0) * _CELL // denom
 
     def py(y):
-        return _MARGIN + int((y1 - Fraction(y) * denom) * unit)
+        return _MARGIN + (y1 - y) * _CELL // denom
 
-    width = px(Fraction(x1, denom)) + _MARGIN
-    height = py(Fraction(y0, denom)) + _MARGIN
+    width = px(x1) + _MARGIN
+    height = py(y0) + _MARGIN
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -96,18 +91,16 @@ def render_svg(parl: Parliament, options: SvgOptions | None = None) -> str:
         ".lbl{font:14px sans-serif;fill:#222222}"
         "</style>",
     ]
-    gx0, gx1 = -(-x0 // denom), x1 // denom
-    gy0, gy1 = -(-y0 // denom), y1 // denom
-    for gx in range(int(gx0), int(gx1) + 1):
+    for gx in range(-(-x0 // denom), x1 // denom + 1):
         out.append(
-            f'<line x1="{px(gx)}" y1="{py(Fraction(y0, denom))}" '
-            f'x2="{px(gx)}" y2="{py(Fraction(y1, denom))}" '
+            f'<line x1="{px(gx * denom)}" y1="{py(y0)}" '
+            f'x2="{px(gx * denom)}" y2="{py(y1)}" '
             f'class="{"axis" if gx == 0 else "grid"}"/>'
         )
-    for gy in range(int(gy0), int(gy1) + 1):
+    for gy in range(-(-y0 // denom), y1 // denom + 1):
         out.append(
-            f'<line x1="{px(Fraction(x0, denom))}" y1="{py(gy)}" '
-            f'x2="{px(Fraction(x1, denom))}" y2="{py(gy)}" '
+            f'<line x1="{px(x0)}" y1="{py(gy * denom)}" '
+            f'x2="{px(x1)}" y2="{py(gy * denom)}" '
             f'class="{"axis" if gy == 0 else "grid"}"/>'
         )
     for entry, verts in zip(parl.entries, vertex_sets):
@@ -118,15 +111,15 @@ def render_svg(parl: Parliament, options: SvgOptions | None = None) -> str:
                 f'class="lbl">e{entry.index}: empty polytope</text>'
             )
             continue
-        hull = convex_polygon(verts)
+        hull = convex_polygon(map(scaled, verts))
         pts = " ".join(f"{px(x)},{py(y)}" for x, y in hull)
         out.append(f'<polygon points="{pts}" class="poly" fill="{fill}"/>')
         lx, ly = hull[0]
         out.append(
             f'<text x="{px(lx) + 4}" y="{py(ly) - 4}" class="lbl">e{entry.index}</text>'
         )
-    for seg in opts.wall_segments:
-        (ax, ay), (bx, by) = seg.character_sigma, seg.character_sigma_prime
+    for seg in wall_segments:
+        (ax, ay), (bx, by) = map(scaled, (seg.character_sigma, seg.character_sigma_prime))
         out.append(
             f'<line x1="{px(ax)}" y1="{py(ay)}" x2="{px(bx)}" y2="{py(by)}" class="seg"/>'
         )
@@ -137,6 +130,7 @@ def render_svg(parl: Parliament, options: SvgOptions | None = None) -> str:
             40,
             160 - 25 * (mark.cone_index % 5),
         )
-        out.append(_marker(kind, px(mark.character[0]), py(mark.character[1]), 6, color))
+        x, y = scaled(mark.character)
+        out.append(_marker(kind, px(x), py(y), 6, color))
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -79,7 +79,7 @@ def test_sheet_satisfies_sum_condition_verbatim():
         for k, ray_index in enumerate(cone):
             filt = bundle.filtrations[ray_index]
             for j in filt.thresholds:
-                got = span([r.vector for r in rows if r.profile[k] >= j], bundle.rank)
+                got = span([r.row for r in rows if r.profile[k] >= j], bundle.rank)
                 assert got == filt.value(j)
 
 

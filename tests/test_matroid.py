@@ -141,7 +141,7 @@ def test_index_of_line_matches_the_span_lookup(documents, scale, data):
     gs = bundle_ground_set(bundle)
     lines = {span([g], gs.ambient): i for i, g in enumerate(gs.rows)}
     probes = [tuple(scale * x for x in v) for v in gs.vectors]
-    probes += [row.vector for rows in check_compatibility(bundle).rows for row in rows]
+    probes += [row.row for rows in check_compatibility(bundle).rows for row in rows]
     probes.append(data.draw(st.tuples(*[st.integers(-2, 2)] * gs.ambient)))
     for v in probes:
         expected = lines.get(span([v], gs.ambient))
@@ -227,10 +227,12 @@ def test_compatible_flats_split(documents):
     # every witness basis meets the flat's span in exactly one line
     for pairs in witness:
         assert sum(1 for _, v in pairs if flat.subspace.contains(v)) == 1
-    # witness lines and ground vectors are reduced echelon rows, as the
-    # character sheet's lines are
-    for v in gs.vectors + tuple(v for pairs in witness for _, v in pairs):
+    # ground vectors are reduced echelon rows, as they are printed; witness
+    # lines are integer echelon rows, as the character sheet's lines are
+    for v in gs.vectors:
         assert span([v], 2).rows == (v,)
+    for v in (v for pairs in witness for _, v in pairs):
+        assert span([v], 2).int_rows == (v,)
 
 
 def test_tangent_flats_not_compatible(p2_tangent):

@@ -4,7 +4,7 @@ from toricbundles.bundle import line_bundle, tangent_bundle
 from toricbundles.fan import Fan, walls
 from toricbundles.parliament import parliament
 from toricbundles.stability import restrict_to_curve
-from toricbundles.svg import SvgOptions, render_svg
+from toricbundles.svg import render_svg
 
 P2_FAN = Fan(2, [(-1, -1), (1, 0), (0, 1)], [(0, 1), (0, 2), (1, 2)])
 
@@ -33,7 +33,7 @@ def test_render_wall_overlay(blp2_sum):
     wall = walls(blp2_sum.fan)[0]
     segments = restrict_to_curve(blp2_sum.bundle, wall).segments
     parl = parliament(blp2_sum.bundle)
-    text = render_svg(parl, SvgOptions(wall_segments=segments))
+    text = render_svg(parl, wall_segments=segments)
     assert text.count('class="seg"') == 2
 
 
