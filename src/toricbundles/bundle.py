@@ -275,29 +275,33 @@ class IncompatibleBundleError(ValueError):
         )
 
 
-def _profile_multiplicities(filts):
-    """Multiplicity of every joint jump profile on one cone.
+def _profile_multiplicities(step_lists):
+    """Multiplicity of every joint jump profile of k decreasing filtrations,
+    each a step list [(threshold, value)] in increasing threshold, as
+    `Filtration.steps` holds it. The first value need not be the full
+    fiber: `restrict_to_curve` passes filtrations of a graded piece.
 
-    D(p) is the dimension of the intersection of E_i(p_i) over the cone's
-    rays, for p in the product of the threshold sets. The multiplicity of p
-    is the k-fold finite difference of D: m(p) <- m(p) - m(p + e_i) on each
-    ray i in turn, where p + e_i moves ray i to its next threshold and D = 0
-    past the last one. The filtrations decrease, so D is monotone and its
-    support is closed downward. A walk over the rays in cone order carries
-    the partial intersection along and stops a branch at its first zero
-    intersection, so it visits D on its support only; every difference stays
-    on that support.
+    D(p) is the dimension of the intersection of E_i(p_i) over the k
+    filtrations, for p in the product of the threshold sets. The
+    multiplicity of p is the k-fold finite difference of D:
+    m(p) <- m(p) - m(p + e_i) on each filtration i in turn, where p + e_i
+    moves filtration i to its next threshold and D = 0 past the last one.
+    The filtrations decrease, so D is monotone and its support is closed
+    downward. A walk over the filtrations in order carries the partial
+    intersection along and stops a branch at its first zero intersection,
+    so it visits D on its support only; every difference stays on that
+    support.
 
     Returns (mult, space_at): mult maps profiles to their nonzero
     multiplicities, in lexicographic order; space_at maps every profile in
     the support of D, so every key of mult, to the intersection of the
     filtration values there, as the walk found it.
     """
-    k = len(filts)
+    k = len(step_lists)
     spaces: dict[tuple[int, ...], Subspace] = {}
 
     def walk(i, prefix, above):
-        for a, step in filts[i].steps:
+        for a, step in step_lists[i]:
             here = step if above is None else intersect(above, step)
             if here.dim == 0:
                 break
@@ -308,9 +312,10 @@ def _profile_multiplicities(filts):
 
     walk(0, (), None)
     mult = {p: sp.dim for p, sp in spaces.items()}
-    for i, f in enumerate(filts):
+    for i, steps in enumerate(step_lists):
         # None past the last threshold: no profile has it, so D reads 0 there
-        following = dict(zip(f.thresholds, f.thresholds[1:] + (None,)))
+        thresholds = [a for a, _ in steps]
+        following = dict(zip(thresholds, thresholds[1:] + [None]))
         mult = {
             p: m - mult.get(p[:i] + (following[p[i]],) + p[i + 1:], 0)
             for p, m in mult.items()
@@ -338,7 +343,7 @@ def _cone_walk(bundle, cone_index):
     walk = bundle._walks.get(cone_index)
     if walk is None:
         cone = bundle.fan.max_cones[cone_index]
-        walk = _profile_multiplicities([bundle.filtrations[i] for i in cone])
+        walk = _profile_multiplicities([bundle.filtrations[i].steps for i in cone])
         for p, m in sorted(walk[0].items()):
             if m < 0:
                 walk = IncompatibilityWitness(

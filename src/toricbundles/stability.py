@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .bundle import ToricBundle, check_compatibility
+from .bundle import ToricBundle, _profile_multiplicities, check_compatibility
 from .fan import Fan, FanError, Wall, validate_fan, wall_normal
 from .linalg import (
     Subspace, integer_rank, lattice_frame, span, unimodular_inverse,
@@ -459,13 +459,15 @@ def restrict_to_curve(bundle: ToricBundle, wall: Wall) -> RestrictionReport:
     sigma-lines of tau-profile >= q and != q, and the graded piece
     S(q) / deeper(q) by the class's lines of either cone. The images there
     of A_i = E_a(i) and B_j = E_b(j) are spanned by the class's sigma-lines
-    of a-level >= i and sigma'-lines of b-level >= j, each set independent
-    modulo deeper(q), so dim(A_i n B_j) on the graded piece is their count
-    less the rank of their residuals modulo deeper(q). The joint
-    multiplicity m(i, j) is the 2-fold finite difference of that dimension
-    over the levels present, and m(i, j) lines of a-level i are paired with
-    m(i, j) lines of b-level j, in sheet order. Paired characters differ by
-    a multiple of the wall normal, which is the degree.
+    of a-level >= i and sigma'-lines of b-level >= j. Reducing modulo
+    deeper(q) at its pivot columns maps the graded piece isomorphically
+    onto the span of the residuals, so A and B are two filtrations there,
+    over the levels present, and the compatibility kernel
+    `_profile_multiplicities` gives their joint multiplicities m(i, j), as
+    it does on every cone. m(i, j) lines of a-level i are paired with
+    m(i, j) lines of b-level j, by descending i and then j, in sheet order.
+    A class of one line pairs with no kernel. Paired characters differ by a
+    multiple of the wall normal, which is the degree.
     """
     sheet = check_compatibility(bundle)
     fan = bundle.fan
@@ -506,28 +508,24 @@ def restrict_to_curve(bundle: ToricBundle, wall: Wall) -> RestrictionReport:
             for p, lines in cls_a.items() if p != q and all(x >= y for x, y in zip(p, q))
             for _, row in lines
         ], bundle.rank)
-        res_a = [(lv, deeper.residual(row.row)) for lv, row in lines_a]
-        res_b = [(lv, deeper.residual(row.row)) for lv, row in lines_b]
+
+        def graded(lines):
+            """level i -> the span of the lines' residuals modulo deeper
+            with level >= i, for the levels present."""
+            return [
+                (i, span([deeper.residual(row.row) for lv, row in lines if lv >= i], bundle.rank))
+                for i in sorted({lv for lv, _ in lines})
+            ]
+
+        mult, _ = _profile_multiplicities([graded(lines_a), graded(lines_b)])
         by_a, by_b = by_level(lines_a), by_level(lines_b)
-        levels_a, levels_b = sorted(by_a), sorted(by_b)
-        meet = {}
-        for i in levels_a:
-            for j in levels_b:
-                rows = [r for lv, r in res_a if lv >= i] + [r for lv, r in res_b if lv >= j]
-                meet[i, j] = len(rows) - integer_rank(rows)
-        next_a = dict(zip(levels_a, levels_a[1:]))
-        next_b = dict(zip(levels_b, levels_b[1:]))
-        for i in reversed(levels_a):
-            for j in reversed(levels_b):
-                i1, j1 = next_a.get(i), next_b.get(j)
-                m = (meet[i, j] - meet.get((i1, j), 0) - meet.get((i, j1), 0)
-                     + meet.get((i1, j1), 0))
-                for _ in range(m):
-                    if not (by_a[i] and by_b[j]):
-                        raise VerificationError(
-                            "joint multiplicities do not match the character profiles"
-                        )
-                    pairs.append((by_a[i].pop(), by_b[j].pop()))
+        for (i, j), m in sorted(mult.items(), reverse=True):
+            for _ in range(m):
+                if not (by_a[i] and by_b[j]):
+                    raise VerificationError(
+                        "joint multiplicities do not match the character profiles"
+                    )
+                pairs.append((by_a[i].pop(), by_b[j].pop()))
 
     m_tau = wall_normal(fan, wall)
     k = next(i for i, x in enumerate(m_tau) if x != 0)

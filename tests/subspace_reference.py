@@ -339,27 +339,34 @@ def brute_force_max_slope(bundle, pol, samples: int, seed: int = 0) -> Fraction 
     return best
 
 
-def profile_multiplicities(filts):
-    """Inclusion-exclusion multiplicity of every joint jump profile.
+def profile_multiplicities(step_lists):
+    """Inclusion-exclusion multiplicity of every joint jump profile of
+    decreasing filtrations given as step lists [(threshold, value)].
 
     Returns (mult, space) where mult maps profiles to integers and space
     maps level tuples to the intersection of the filtration values there.
     """
-    k = len(filts)
+    k = len(step_lists)
     cache: dict[tuple[int, ...], Subspace] = {}
+
+    def value(steps, j):
+        for a, sp in steps:
+            if j <= a:
+                return sp
+        return Subspace.zero(steps[0][1].ambient)
 
     def space_at(levels):
         if levels not in cache:
-            sp = filts[0].value(levels[0])
-            for f, j in zip(filts[1:], levels[1:]):
+            sp = value(step_lists[0], levels[0])
+            for steps, j in zip(step_lists[1:], levels[1:]):
                 if sp.dim == 0:
                     break
-                sp = intersect(sp, f.value(j))
+                sp = intersect(sp, value(steps, j))
             cache[levels] = sp
         return cache[levels]
 
     mult = {}
-    for p in product(*(f.thresholds for f in filts)):
+    for p in product(*([a for a, _ in steps] for steps in step_lists)):
         m = 0
         for mask in range(1 << k):
             levels = tuple(
@@ -424,7 +431,7 @@ def is_subbundle(bundle, f_space) -> bool:
     rank = bundle.rank
     for cone in bundle.fan.max_cones:
         filts = [bundle.filtrations[i] for i in cone]
-        mult, space_at = profile_multiplicities(filts)
+        mult, space_at = profile_multiplicities([f.steps for f in filts])
         pairs, spanned = [], Subspace.zero(rank)
         for p in sorted(mult, key=lambda p: (-sum(p), p)):
             rows = extend_basis(spanned, space_at(p), mult[p], f_space)

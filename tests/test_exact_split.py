@@ -133,7 +133,7 @@ THREE_LINES_IN_A_PLANE = {
 def test_incompatible_without_negative_multiplicity_is_exact(tmp_path):
     bundle = parse_document(json.dumps(THREE_LINES_IN_A_PLANE)).bundle
     for cone in bundle.fan.max_cones:
-        mult, _ = _profile_multiplicities([bundle.filtrations[i] for i in cone])
+        mult, _ = _profile_multiplicities([bundle.filtrations[i].steps for i in cone])
         assert all(m >= 0 for m in mult.values())
     with pytest.raises(IncompatibleBundleError) as err:
         check_compatibility(bundle)
