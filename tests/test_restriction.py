@@ -7,17 +7,27 @@ other ray. The relation is solved here on sigma's rays, which form a basis.
 """
 import json
 import random
+from collections import Counter
+from fractions import Fraction
 from operator import mul
 
 from generators import blown_up_p3, hexagon, hirzebruch, p1_cubed, projective_space
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from subspace_reference import rref_solve
+from subspace_reference import matrix_rank, rref_solve
 from test_io_cli import run_cli
 from test_rank_oracle import SURFACE_KINDS, flag_bundles_on, surface
 
-from toricbundles.bundle import direct_sum, line_bundle, tangent_bundle
+from toricbundles.bundle import (
+    Filtration,
+    ToricBundle,
+    check_compatibility,
+    direct_sum,
+    line_bundle,
+    tangent_bundle,
+)
 from toricbundles.fan import walls
+from toricbundles.linalg import span
 from toricbundles.stability import restrict_to_curve
 
 GENERATED_FANS = {
@@ -133,3 +143,43 @@ def test_cli_restrict_tangent_square_in_another_basis(tmp_path):
         code, out, err = run_cli(["restrict", path, "--wall", k])
         assert (code, err) == (0, "")
         assert out.splitlines()[0] == "degrees: [1, 1, 2, 2]; restriction NOT semistable"
+
+
+def test_split_bundles_on_threefolds_restrict_to_their_summands():
+    """A random rational basis b of Q^r, r in 2..4, with a level in -2..2
+    per basis vector per ray, and E_i(t) the span of the b with level >= t,
+    is the sum of the line bundles O(sum_i level_i(b) D_i). So it restricts
+    to their degrees: 200 seeded bundles on P^3 with shuffled rays, (P^1)^3
+    and Bl_pt P^3. Flags on 3-d fans meet in special position, and at least
+    100 of the restrictions pair a tau-class of two or more lines."""
+    rng = random.Random(0)
+    restrictions = shared = 0
+    for _ in range(200):
+        fan = rng.choice([
+            lambda: projective_space(3, rng.sample(range(4), 4)), p1_cubed, blown_up_p3,
+        ])()
+        rank = rng.randint(2, 4)
+        basis = []
+        while len(basis) < rank:
+            v = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rank))
+            if matrix_rank(basis + [v], rank) == len(basis) + 1:
+                basis.append(v)
+        levels = [[rng.randint(-2, 2) for _ in fan.rays] for _ in basis]
+        bundle = ToricBundle(fan, rank, [
+            Filtration(rank, [
+                (t, span([b for b, lv in zip(basis, levels) if lv[i] >= t], rank))
+                for t in sorted({lv[i] for lv in levels})
+            ])
+            for i in range(len(fan.rays))
+        ])
+        sheet = check_compatibility(bundle)
+        for wall in walls(fan):
+            degrees = curve_degrees(fan, wall)
+            want = sorted(sum(map(mul, lv, degrees)) for lv in levels)
+            assert restrict_to_curve(bundle, wall).degrees == tuple(want), (fan.rays, wall)
+            cone = fan.max_cones[wall.sigma]
+            tau = [cone.index(t) for t in wall.tau]
+            classes = Counter(tuple(row.profile[k] for k in tau) for row in sheet.rows[wall.sigma])
+            restrictions += 1
+            shared += max(classes.values()) > 1
+    assert shared >= 100, (shared, restrictions)
