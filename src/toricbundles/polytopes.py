@@ -18,6 +18,8 @@ from itertools import combinations, product
 from .fan import Fan
 from .linalg import Vector, _solve, dot
 
+MAX_LATTICE_SCAN = 10**6  # bounding-box points `lattice_points` may scan
+
 
 class HPolytope:
     __slots__ = ("rays", "bounds", "_vertices")
@@ -70,13 +72,19 @@ class HPolytope:
         return not self.vertices()
 
     def lattice_points(self) -> tuple[tuple[int, ...], ...]:
-        """Integer points, by scanning the vertex bounding box."""
+        """Integer points, by scanning the vertex bounding box; a ValueError
+        when the box holds more than MAX_LATTICE_SCAN points."""
         verts = self.vertices()
         if not verts:
             return ()
         d = self.dim
         lo = [math.ceil(min(v[i] for v in verts)) for i in range(d)]
         hi = [math.floor(max(v[i] for v in verts)) for i in range(d)]
+        count = math.prod(max(b - a + 1, 0) for a, b in zip(lo, hi))
+        if count > MAX_LATTICE_SCAN:
+            raise ValueError(
+                f"lattice-point scan of {count} points exceeds the limit of {MAX_LATTICE_SCAN}"
+            )
         out = []
         for pt in product(*(range(lo[i], hi[i] + 1) for i in range(d))):
             if self.contains(pt):

@@ -1,10 +1,15 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import toricbundles
 from toricbundles.cli import main
 from toricbundles.fan import walls
 from toricbundles.io import (
@@ -100,6 +105,30 @@ def test_parse_rejects_non_primitive_ray():
     with pytest.raises(SchemaError) as err:
         parse_document(json.dumps(raw))
     assert any("primitive" in msg for _, msg in err.value.errors)
+
+
+@pytest.mark.parametrize("max_j", [10**6, 10**30], ids=["1e6", "1e30"])
+def test_parliament_refuses_a_lattice_scan_past_the_limit(tmp_path, max_j):
+    """A valid document whose polytope boxes hold about max_j**2 points:
+    `parliament` exits 1 at once with one stderr line, in a fresh process so
+    that a traceback or a hang shows."""
+    raw = json.loads(fixture_path("p2_tangent").read_text())
+    raw["bundle"]["filtrations"][0]["steps"][-1]["max_j"] = max_j
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(raw))
+    src = str(Path(toricbundles.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "toricbundles.cli", "parliament", str(path)],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert time.perf_counter() - start < 2
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.count("\n") == 1
+    assert done.stderr.startswith("lattice-point scan of ")
+    assert done.stderr.endswith(" points exceeds the limit of 1000000\n")
 
 
 def test_parse_is_total_on_garbage():
