@@ -10,7 +10,8 @@ subspaces V_1 = E > V_2 > ... > V_s > 0 and means
 The compatibility check is two-phase: exact profile multiplicities first
 (necessary), as finite differences of intersection dimensions found by a
 walk that stops at the first zero intersection, then one greedy splitting.
-Both verdicts are exact. If a compatible basis B exists, every
+Both verdicts are exact. The walk's step lists need not start at the full
+fiber, so curve restrictions reuse it. Split lines stay integer echelon rows. If a compatible basis B exists, every
 S(q) = n E_i(q_i), and every sum of them, is spanned by part of B. Profiles
 are split in the order (-sum p, p), so no earlier q has q <= p, and the
 lines chosen so far meet S(p) in deeper(p) = sum_i S(p + e_i); the echelon
@@ -277,9 +278,8 @@ class IncompatibleBundleError(ValueError):
 
 def _profile_multiplicities(step_lists):
     """Multiplicity of every joint jump profile of k decreasing filtrations,
-    each a step list [(threshold, value)] in increasing threshold, as
-    `Filtration.steps` holds it. The first value need not be the full
-    fiber: `restrict_to_curve` passes filtrations of a graded piece.
+    each a step list [(threshold, value)] such as `Filtration.steps`, whose
+    first value need not be the full fiber (`restrict_to_curve`).
 
     D(p) is the dimension of the intersection of E_i(p_i) over the k
     filtrations, for p in the product of the threshold sets. The

@@ -82,9 +82,8 @@ class HPolytope:
         hi = [math.floor(max(v[i] for v in verts)) for i in range(d)]
         count = math.prod(max(b - a + 1, 0) for a, b in zip(lo, hi))
         if count > MAX_LATTICE_SCAN:
-            raise ValueError(
-                f"lattice-point scan of {count} points exceeds the limit of {MAX_LATTICE_SCAN}"
-            )
+            raise ValueError(f"lattice-point scan of {count} points exceeds "
+                             f"the limit of {MAX_LATTICE_SCAN}")
         out = []
         for pt in product(*(range(lo[i], hi[i] + 1) for i in range(d))):
             if self.contains(pt):

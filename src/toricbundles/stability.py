@@ -509,9 +509,7 @@ def restrict_to_curve(bundle: ToricBundle, wall: Wall) -> RestrictionReport:
             for _, row in lines
         ], bundle.rank)
 
-        def graded(lines):
-            """level i -> the span of the lines' residuals modulo deeper
-            with level >= i, for the levels present."""
+        def graded(lines):  # level i -> residuals of the lines of level >= i
             return [
                 (i, span([deeper.residual(row.row) for lv, row in lines if lv >= i], bundle.rank))
                 for i in sorted({lv for lv, _ in lines})

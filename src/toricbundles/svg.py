@@ -47,10 +47,7 @@ def _marker(kind, x, y, s, color):
 
 
 def render_svg(parl: Parliament, wall_segments=()) -> str:
-    """The parliament's polytopes, grid and character marks, with the given
-    restriction segments overlaid. Every coordinate is scaled once to the
-    integer X = x * denom, and a pixel is (X - x0) * _CELL // denom: every
-    plotted X lies in [x0, x1], so floor division truncates."""
+    """The parliament, with the given restriction segments overlaid."""
     if parl.fan.dim != 2:
         raise ValueError("SVG rendering is only defined for surfaces (d = 2)")
 
@@ -61,14 +58,14 @@ def render_svg(parl: Parliament, wall_segments=()) -> str:
         points += [seg.character_sigma, seg.character_sigma_prime]
     denom = lcm(*(x.denominator for p in points for x in p), 1)
 
-    def scaled(p):
+    def scaled(p):  # once per point; every pixel below is in integers
         return tuple(x.numerator * (denom // x.denominator) for x in p)
 
     xs, ys = zip(*([scaled(p) for p in points] or [(0, 0)]))
     x0, x1 = min(xs) - denom, max(xs) + denom
     y0, y1 = min(ys) - denom, max(ys) + denom
 
-    def px(x):
+    def px(x):  # x0 <= x <= x1 for every plotted x, so // truncates
         return _MARGIN + (x - x0) * _CELL // denom
 
     def py(y):
