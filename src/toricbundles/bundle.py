@@ -11,13 +11,13 @@ The compatibility check is two-phase: exact profile multiplicities first
 (necessary), as finite differences of intersection dimensions found by a
 walk that stops at the first zero intersection, then one greedy splitting.
 Both verdicts are exact. The walk's step lists need not start at the full
-fiber, so curve restrictions reuse it. Split lines stay integer echelon rows. If a compatible basis B exists, every
-S(q) = n E_i(q_i), and every sum of them, is spanned by part of B. Profiles
-are split in the order (-sum p, p), so no earlier q has q <= p, and the
-lines chosen so far meet S(p) in deeper(p) = sum_i S(p + e_i); the echelon
-rows of S(p) then give exactly m(p) new lines. For a preferred F spanned by
-part of B, the rows of S(p) n F come first and give exactly dim F lines
-inside F.
+fiber, so curve restrictions reuse it. Split lines stay integer echelon
+rows. If a compatible basis B exists, every S(q) = n E_i(q_i), and every
+sum of them, is spanned by part of B. Profiles are split in the order
+(-sum p, p), so no earlier q has q <= p, and the lines chosen so far meet
+S(p) in deeper(p) = sum_i S(p + e_i); the echelon rows of S(p) then give
+exactly m(p) new lines. For a preferred F spanned by part of B, the rows of
+S(p) n F come first and give exactly dim F lines inside F.
 
 Conversely, a greedy pass that fills every multiplicity is a compatible
 basis, so it is returned without a re-check. Its multiplicities are

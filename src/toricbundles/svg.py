@@ -58,7 +58,7 @@ def render_svg(parl: Parliament, wall_segments=()) -> str:
         points += [seg.character_sigma, seg.character_sigma_prime]
     denom = lcm(*(x.denominator for p in points for x in p), 1)
 
-    def scaled(p):  # once per point; every pixel below is in integers
+    def scaled(p):
         return tuple(x.numerator * (denom // x.denominator) for x in p)
 
     xs, ys = zip(*([scaled(p) for p in points] or [(0, 0)]))
