@@ -138,13 +138,6 @@ def bundle_ground_set(bundle: ToricBundle) -> GroundSet:
     return bundle._ground_set
 
 
-def _mask(indices) -> int:
-    m = 0
-    for e in indices:
-        m |= 1 << e
-    return m
-
-
 def _indices(mask: int) -> tuple[int, ...]:
     return tuple(e for e in range(mask.bit_length()) if mask >> e & 1)
 
@@ -179,9 +172,9 @@ def closure(gs: GroundSet, subset) -> Flat:
     return Flat(indices=gs.indices_in(sp), rank=sp.dim, subspace=sp)
 
 
-def enumerate_flats(gs: GroundSet) -> tuple[Flat, ...]:
-    """Every flat exactly once, sorted by (rank, indices); includes the
-    empty and full flats, which stability callers filter out.
+def _flat_search(gs: GroundSet):
+    """Every flat once, in search order, as (flat, mask, covers): one (cover
+    mask, class residual) per cover, valid until the next item is requested.
 
     Search by contraction. Each flat F waiting on the stack carries its
     span S and the residuals modulo S of the elements outside it, all
@@ -195,7 +188,7 @@ def enumerate_flats(gs: GroundSet) -> tuple[Flat, ...]:
     holds the residuals of at most |G| flats per rank.
     """
     zero = Subspace.zero(gs.ambient)
-    found = {0: zero}  # ground vectors are nonzero: the empty set is closed
+    found = {0}  # ground vectors are nonzero: the empty set is closed
     stack = [(0, zero, list(enumerate(gs.rows)))]
     while stack:
         mask, sp, residuals = stack.pop()
@@ -207,16 +200,20 @@ def enumerate_flats(gs: GroundSet) -> tuple[Flat, ...]:
                 covers[line] = [mask | 1 << e, res]
             else:
                 cover[0] |= 1 << e
+        yield Flat(indices=_indices(mask), rank=sp.dim, subspace=sp), mask, covers.values()
         for cover, res in covers.values():
             if cover not in found:
-                found[cover] = bigger = sp.adjoin(res)
+                found.add(cover)
+                bigger = sp.adjoin(res)
                 stack.append((cover, bigger, [
                     (f, bigger.residual(old)) for f, old in residuals if not cover >> f & 1
                 ]))
-    return tuple(sorted(
-        Flat(indices=_indices(m), rank=sp.dim, subspace=sp)
-        for m, sp in found.items()
-    ))
+
+
+def enumerate_flats(gs: GroundSet) -> tuple[Flat, ...]:
+    """Every flat exactly once, sorted by (rank, indices); includes the
+    empty and full flats, which stability callers filter out."""
+    return tuple(sorted(f for f, _, _ in _flat_search(gs)))
 
 
 def proper_nonzero_flats(gs: GroundSet) -> tuple[Flat, ...]:

@@ -23,14 +23,14 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import itemgetter, mul
 
 from .bundle import ToricBundle, _profile_multiplicities, check_compatibility
 from .fan import Fan, FanError, Wall, validate_fan, wall_normal
 from .linalg import (
     Subspace, integer_rank, lattice_frame, span, unimodular_inverse,
 )
-from .matroid import Flat, _mask, bundle_ground_set, proper_nonzero_flats
+from .matroid import Flat, _flat_search, bundle_ground_set
 from .polytopes import HPolytope, newton_polytope
 
 
@@ -286,15 +286,16 @@ def _slope_table(bundle: ToricBundle):
 
     The sweep spans each filtration value E = E^i(j) by the ground vectors
     inside it, so E meets the ground set in its level mask
-    {e : level_i(e) >= j}, a flat that spans E. A flat F carries its span
-    S_F, and dim(E n F) = dim E - d, with d = dim(E + S_F) - dim S_F the rank
-    of the residuals of E's echelon rows modulo S_F. The masks decide when E
-    and F differ by at most one element either way: if no element of E lies
-    outside F, d = 0; if one, e, does, E + S_F = S_F + <e> with e not in S_F
-    (F is a flat), so d = 1. Symmetrically, dim(E n F) = dim F when no
-    element of F lies outside E (as when E is the full fiber), and dim F - 1
-    when one does, which is not in E (E's mask is a flat). Only the other
-    cases take an `integer_rank`.
+    {e : level_i(e) >= j}, a flat that spans E. `_flat_search` gives each
+    flat F with its mask and the classes of the contraction M/F, one
+    residual modulo S_F = span F each. Mask rule, then classes: dim(E n F)
+    is rk F when no element of F lies outside E (as when E is the full
+    fiber) and rk F - 1 when one does, as it is not in E (E's mask is a
+    flat). Else it is dim E - d, where d = dim(E + S_F) - dim S_F is the
+    rank of the k classes that E's elements outside F meet: k for k <= 2,
+    as two distinct lines are independent, else an `integer_rank` of the
+    class residuals. c1(E) is the same count on the full mask, with no
+    classes.
     """
     if bundle._slopes is None:
         gs = bundle_ground_set(bundle)
@@ -306,19 +307,18 @@ def _slope_table(bundle: ToricBundle):
                 for a, sp in filt.steps
             ])
 
-        def c1_of(mask, s_f):
+        def c1_of(mask, rank, covers):
             coeffs = []
             for steps in level_sets:
                 dims = []
                 for _, sp, m in steps:
-                    missed, extra = m & ~mask, mask & ~m
-                    if not missed & (missed - 1):
-                        dims.append(sp.dim - 1 if missed else sp.dim)
-                    elif not extra & (extra - 1):
-                        dims.append(s_f.dim - 1 if extra else s_f.dim)
+                    extra = mask & ~m
+                    if not extra & (extra - 1):
+                        dims.append(rank - 1 if extra else rank)
                     else:
-                        rows = [s_f.residual(row) for row in sp.int_rows]
-                        dims.append(sp.dim - integer_rank(rows))
+                        missed = m & ~mask
+                        hit = [res for cover, res in covers if cover & missed]
+                        dims.append(sp.dim - (len(hit) if len(hit) < 3 else integer_rank(hit)))
                 dims.append(0)
                 coeffs.append(sum(
                     a * (d - d_next) for (a, *_), d, d_next in zip(steps, dims, dims[1:])
@@ -339,17 +339,18 @@ def _slope_table(bundle: ToricBundle):
                     coeffs = [x - a * y for x, y in zip(coeffs, div)]
             return tuple(coeffs)
 
+        r = bundle.rank
+        rows = sorted(((f, c1_of(mask, f.rank, covers)) for f, mask, covers
+                       in _flat_search(gs) if 0 < f.rank < r), key=itemgetter(0))
         classes: dict = {}
         members = []
         firsts = []
-        for f in proper_nonzero_flats(gs):
-            k = classes.setdefault(
-                (key_of(c1_of(_mask(f.indices), f.subspace)), f.rank), len(classes)
-            )
+        for f, coeffs in rows:
+            k = classes.setdefault((key_of(coeffs), f.rank), len(classes))
             if k == len(firsts):
                 firsts.append(f)
             members.append((f, k))
-        c1_e = c1_of((1 << len(gs)) - 1, Subspace.full(bundle.rank))
+        c1_e = c1_of((1 << len(gs)) - 1, r, ())
         bundle._slopes = (tuple(c1_e), tuple(classes), tuple(members), tuple(firsts))
     return bundle._slopes
 

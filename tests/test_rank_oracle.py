@@ -14,7 +14,7 @@ from generators import (
     p1_cubed,
     projective_space,
 )
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from subspace_reference import check_stability as reference_check_stability
 from subspace_reference import closure as reference_closure
@@ -154,16 +154,43 @@ def test_random_flags_match_subspace_reference(case, data):
 
 
 @settings(max_examples=8, deadline=None)
-@given(data=st.data())
-def test_tangent_powers_with_shuffled_rays_match_reference(data):
-    d = data.draw(st.sampled_from((2, 3)))
-    copies = data.draw(st.sampled_from((1, 2)))
-    fan = projective_space(d, data.draw(st.permutations(range(d + 1))))
+@given(case=st.sampled_from(((2, 1), (2, 2), (2, 3), (3, 1), (3, 2))).flatmap(
+    lambda dc: st.tuples(st.just(dc), st.permutations(range(dc[0] + 1)))))
+@example(case=((2, 3), [2, 0, 1]))
+def test_tangent_powers_with_shuffled_rays_match_reference(case):
+    """T^copies on P^d. T^3 on P^2, always run, is the one whose slope table
+    meets three or more classes of a contraction, and takes `integer_rank`."""
+    (d, copies), order = case
+    fan = projective_space(d, order)
     bundle = tangent_bundle(fan)
     for _ in range(copies - 1):
         bundle = direct_sum(bundle, tangent_bundle(fan))
     _assert_same_flats(bundle_ground_set(bundle))
     _assert_same_report(bundle, validate_polarization(fan, (1,) * (d + 1)))
+
+
+def test_three_classes_of_rank_two_match_reference():
+    """Rank 4 on P^2 with E^0(1) = <e1, e2>, E^0(2) = <e1>,
+    E^1(1) = <e2, e3, e4> and E^2(1) = <e1 + e2, e3, e4>. The flat
+    {e3, e4} has two elements outside E^0(1), whose ground lines e1, e2 and
+    e1 + e2 fall in three classes of the contraction that span only a plane,
+    so c1 of that flat needs the rank of the classes, not their count."""
+    fan = projective_space(2, range(3))
+    e1, e2, e3, e4 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
+
+    def flag(*values):
+        steps = [(j + 1, span(v, 4)) for j, v in enumerate(values)]
+        return Filtration(4, [(0, Subspace.full(4))] + steps)
+
+    bundle = ToricBundle(fan, 4, [
+        flag([e1, e2], [e1]), flag([e2, e3, e4]), flag([(1, 1, 0, 0), e3, e4]),
+    ])
+    assert bundle_ground_set(bundle).rows == (e2, e1, (1, 1, 0, 0), e3, e4)
+    _, classes, members, _ = _slope_table(bundle)
+    (k,) = [k for flat, k in members if flat.indices == (3, 4)]
+    difference = [a - b for a, b in zip(c1(bundle, span([e3, e4], 4)), classes[k][0])]
+    assert _character_of(fan, difference) is not None
+    _assert_same_report(bundle, validate_polarization(fan, (1, 1, 1)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -248,6 +275,21 @@ def test_flat_enumeration_does_no_subspace_algebra(monkeypatch):
     assert calls == {"span": 0, "intersect": 0, "contains": 0, "_bareiss": 0}
     assert len(proper_nonzero_flats(gs)) == 142
     assert len(flats) == 144
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_first_slope_table_on_tangent_sums_does_no_elimination(monkeypatch, d):
+    """Each value of T + T on P^d but the fiber is a plane spanned by two
+    ground vectors, so it meets at most two classes of a contraction, and
+    c1 of every flat is read with no `integer_rank`."""
+    fan = projective_space(d, range(d + 1))
+    bundle = direct_sum(tangent_bundle(fan), tangent_bundle(fan))
+    bundle_ground_set(bundle)
+    calls = {"_bareiss": 0}
+    monkeypatch.setattr(linalg, "_bareiss", _counting(calls, "_bareiss", linalg._bareiss))
+    _, _, members, _ = _slope_table(bundle)
+    assert calls == {"_bareiss": 0}
+    assert len(members) == {3: 142, 4: 727}[d]
 
 
 def _report_fields(report):
