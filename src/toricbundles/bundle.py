@@ -44,6 +44,7 @@ from .linalg import (
     IntRow,
     Subspace,
     dot,
+    exact_int,
     extend_basis,
     intersect,
     span,
@@ -58,8 +59,8 @@ class Filtration:
     __slots__ = ("rank", "steps")
 
     def __init__(self, rank: int, steps):
-        self.rank = int(rank)
-        steps = tuple((int(j), sp) for j, sp in steps)
+        self.rank = exact_int(rank)
+        steps = tuple((exact_int(j), sp) for j, sp in steps)
         if not steps:
             raise ValueError("a filtration needs at least one step")
         if not steps[0][1].is_full() or steps[0][1].ambient != self.rank:
@@ -156,7 +157,7 @@ class ToricBundle:
         if not report.passed:
             raise FanError("bundle over an invalid fan:\n" + report.summary())
         self.fan = fan
-        self.rank = int(rank)
+        self.rank = exact_int(rank)
         filtrations = tuple(filtrations)
         if len(filtrations) != len(fan.rays):
             raise ValueError(
@@ -181,7 +182,7 @@ class ToricBundle:
 
 def line_bundle(fan: Fan, coefficients) -> ToricBundle:
     """O(sum a_i D_i): rank one, threshold a_i on ray i."""
-    coeffs = [int(a) for a in coefficients]
+    coeffs = [exact_int(a) for a in coefficients]
     if len(coeffs) != len(fan.rays):
         raise ValueError("one divisor coefficient per ray required")
     full = Subspace.full(1)
@@ -221,7 +222,7 @@ def direct_sum(b1: ToricBundle, b2: ToricBundle) -> ToricBundle:
 
 
 def twist_by_divisor(b: ToricBundle, coefficients) -> ToricBundle:
-    coeffs = [int(a) for a in coefficients]
+    coeffs = [exact_int(a) for a in coefficients]
     if len(coeffs) != len(b.fan.rays):
         raise ValueError("one divisor coefficient per ray required")
     filts = [f.shifted(a) for f, a in zip(b.filtrations, coeffs)]
@@ -229,7 +230,7 @@ def twist_by_divisor(b: ToricBundle, coefficients) -> ToricBundle:
 
 
 def twist_by_character(b: ToricBundle, u) -> ToricBundle:
-    u = [int(x) for x in u]
+    u = [exact_int(x) for x in u]
     if len(u) != b.fan.dim:
         raise ValueError("character of the wrong dimension")
     shifts = [sum(ui * vi for ui, vi in zip(u, ray)) for ray in b.fan.rays]

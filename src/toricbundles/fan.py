@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .linalg import det, integer_kernel_basis, integer_rank, is_primitive, nullspace, dot
+from .linalg import det, exact_int, integer_kernel_basis, integer_rank, is_primitive, nullspace, dot
 
 
 class FanError(ValueError):
@@ -33,10 +33,10 @@ class Fan:
     __slots__ = ("dim", "rays", "max_cones", "_report", "_facets")
 
     def __init__(self, dim, rays, max_cones):
-        self.dim = int(dim)
+        self.dim = exact_int(dim)
         if self.dim < 1:
             raise FanError("fan dimension must be positive")
-        rays = tuple(tuple(int(x) for x in r) for r in rays)
+        rays = tuple(tuple(exact_int(x) for x in r) for r in rays)
         for r in rays:
             if len(r) != self.dim:
                 raise FanError(f"ray {r} does not have length {self.dim}")
@@ -49,7 +49,7 @@ class Fan:
         self.rays = rays
         cones = []
         for c in max_cones:
-            c = tuple(sorted(int(i) for i in c))
+            c = tuple(sorted(exact_int(i) for i in c))
             if len(c) != self.dim:
                 raise FanError(f"maximal cone {c} does not have {self.dim} rays")
             if len(set(c)) != len(c):

@@ -41,6 +41,17 @@ def dot(u: Sequence, v: Sequence):
     return sum(a * b for a, b in zip(u, v))
 
 
+def exact_int(x) -> int:
+    """x as an int, where `int` would truncate: a float is a TypeError and a
+    value that is not an integer, such as Fraction(1, 2), a ValueError."""
+    if isinstance(x, float):
+        raise TypeError(f"float {x!r}: give an int or a Fraction")
+    n = int(x)
+    if n != x:
+        raise ValueError(f"{x!r} is not an integer")
+    return n
+
+
 def integer_row(v: Iterable) -> IntRow:
     """A rational vector times the lcm of its denominators: same line, ints."""
     v = tuple(v)
