@@ -195,14 +195,12 @@ def test_rank_mismatch_rejected():
         ToricBundle(P2_FAN, 2, [Filtration(2, [(0, full2)])] * 2)
 
 
-_FULL2 = Subspace.full(2)
-_P2_RAYS = [(-1, -1), (1, 0), (0, 1)]
 _INTEGER_INPUTS = {
-    "fan-dim": lambda x: Fan(x, _P2_RAYS, P2_FAN.max_cones),
+    "fan-dim": lambda x: Fan(x, P2_FAN.rays, P2_FAN.max_cones),
     "ray-entry": lambda x: Fan(2, [(-1, -1), (x, 0), (0, 1)], P2_FAN.max_cones),
-    "cone-index": lambda x: Fan(2, _P2_RAYS, [(0, x), (0, 2), (1, 2)]),
-    "filtration-rank": lambda x: Filtration(x, [(0, _FULL2)]),
-    "threshold": lambda x: Filtration(2, [(x, _FULL2)]),
+    "cone-index": lambda x: Fan(2, P2_FAN.rays, [(0, x), (0, 2), (1, 2)]),
+    "filtration-rank": lambda x: Filtration(x, [(0, Subspace.full(2))]),
+    "threshold": lambda x: Filtration(2, [(x, Subspace.full(2))]),
     "bundle-rank": lambda x: ToricBundle(P2_FAN, x, tangent_bundle(P2_FAN).filtrations),
     "line-bundle": lambda x: line_bundle(P2_FAN, (x, 0, 0)),
     "divisor-twist": lambda x: twist_by_divisor(tangent_bundle(P2_FAN), (x, 0, 0)),
@@ -219,7 +217,7 @@ def test_non_integer_inputs_are_refused_not_truncated(build):
 
 
 def test_integral_fractions_are_read_as_ints():
-    assert Fan(Fraction(2), _P2_RAYS, P2_FAN.max_cones).dim == 2
+    assert Fan(Fraction(2), P2_FAN.rays, P2_FAN.max_cones).dim == 2
     assert line_bundle(P2_FAN, (Fraction(2), 0, 0)).filtrations[0].thresholds == (2,)
     twisted = twist_by_divisor(tangent_bundle(P2_FAN), (Fraction(-1), 0, 0))
     assert twisted.filtrations[0].thresholds == (-1, 0)
