@@ -358,27 +358,21 @@ def _cone_walk(bundle, cone_index):
 
 def _split_cone(bundle, cone_index, prefer=None):
     """Compatible basis of one cone as (profile, line) pairs, each line an
-    integer echelon row, or an IncompatibilityWitness.
-
-    With `prefer` set, the split is only accepted when exactly prefer.dim of
-    its lines lie inside it (the compatible-flat count condition).
-    """
+    integer echelon row, or an IncompatibilityWitness when the cone has
+    none. With `prefer` set, each profile takes its rows inside `prefer`
+    first; the second pool is the whole of S(p), so a compatible cone
+    still splits."""
     walk = _cone_walk(bundle, cone_index)
     if isinstance(walk, IncompatibilityWitness):
         return walk
     mult, space_at = walk
     assignment = _attempt_split(mult, space_at, bundle.rank, prefer)
-    if assignment is None:
-        reason = "no independent lines left for some profile"
-    else:
-        inside = 0 if prefer is None else sum(
-            1 for _, v in assignment if prefer.contains(v)
-        )
-        if prefer is None or inside == prefer.dim:
-            return tuple(assignment)
-        reason = f"basis meets the flat in {inside} lines, need {prefer.dim}"
+    if assignment is not None:
+        return tuple(assignment)
     cone = bundle.fan.max_cones[cone_index]
-    return IncompatibilityWitness(cone_index, cone, None, None, reason)
+    return IncompatibilityWitness(
+        cone_index, cone, None, None, "no independent lines left for some profile"
+    )
 
 
 def check_compatibility(bundle: ToricBundle) -> CharacterSheet:

@@ -235,7 +235,7 @@ def _cmd_flats(args, doc):
     gs = bundle_ground_set(doc.bundle)
     flats = []
     for flat in enumerate_flats(gs):
-        compatible, _ = is_compatible_flat(doc.bundle, flat)
+        compatible = is_compatible_flat(doc.bundle, flat)
         flats.append(
             {
                 "indices": list(flat.indices),

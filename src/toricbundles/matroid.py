@@ -21,12 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, total_ordering
 from math import lcm
 
-from .bundle import (
-    IncompatibilityWitness,
-    ToricBundle,
-    _split_cone,
-    check_compatibility,
-)
+from .bundle import ToricBundle, _split_cone, check_compatibility
 from .linalg import (
     IntRow,
     Subspace,
@@ -222,42 +217,33 @@ def proper_nonzero_flats(gs: GroundSet) -> tuple[Flat, ...]:
     return tuple(f for f in flats if 0 < f.rank < full_dim)
 
 
-def _preferred_splits(bundle: ToricBundle, f_space: Subspace):
-    """Per maximal cone, the split taking the rows inside F first, lines
-    as integer echelon rows; None when one has fewer than dim F inside F."""
+def is_compatible_flat(bundle: ToricBundle, flat: Flat) -> bool:
+    """Whether the flat's span is a subbundle (`is_subbundle`); the empty
+    flat always is. The bundle itself must be compatible (raises
+    otherwise)."""
     check_compatibility(bundle)
-    splits = []
-    for ci in range(len(bundle.fan.max_cones)):
-        res = _split_cone(bundle, ci, prefer=f_space)
-        if isinstance(res, IncompatibilityWitness):
-            return None
-        splits.append(res)
-    return tuple(splits)
-
-
-def is_compatible_flat(bundle: ToricBundle, flat: Flat):
-    """Whether some compatible basis meets the flat's span in exactly
-    rank-many lines on every maximal cone; returns (verdict, witness bases
-    as (profile, line) pairs per cone, each line an integer echelon row).
-
-    The bundle itself must be compatible (raises otherwise).
-    """
-    witness = _preferred_splits(bundle, flat.subspace)
-    return witness is not None, witness
+    return flat.rank == 0 or is_subbundle(bundle, flat.subspace)
 
 
 def is_subbundle(bundle: ToricBundle, f_space: Subspace) -> bool:
     """Whether the subsheaf cut out by F is an equivariant subbundle, that
     is, every maximal cone has a compatible basis with dim F lines inside F
-    (Klyachko, Math. USSR Izv. 35, 1990). The split that takes the rows
-    inside F first finds one when it exists (`bundle`), and its lines inside
-    F span every E_i(j) n F, as a compatible basis meets E_i(j) in exactly
-    its lines with p_i >= j. F need not be a flat: on P^1 x P^1,
-    O(D_x) + O(D_-x) has the ground set e1, e2, and the diagonal is a
-    subbundle, since D_x and D_-x are disjoint.
+    (Klyachko, Math. USSR Izv. 35, 1990). F need not be a flat: on
+    P^1 x P^1, O(D_x) + O(D_-x) has the ground set e1, e2, and the diagonal
+    is a subbundle, since D_x and D_-x are disjoint.
+
+    The bundle must be compatible (raises otherwise). Each cone is split
+    taking the rows inside F first (`bundle`); when F is spanned by part of
+    some compatible basis, that split has dim F lines inside F too, so F is
+    a subbundle exactly when every cone's split does.
     """
     if f_space.dim == 0:
         raise ValueError("the zero subspace does not define a subbundle")
     if f_space.ambient != bundle.rank:
         raise ValueError("subspace from a different fiber")
-    return _preferred_splits(bundle, f_space) is not None
+    check_compatibility(bundle)
+    return all(
+        sum(1 for _, v in _split_cone(bundle, ci, f_space) if f_space.contains(v))
+        == f_space.dim
+        for ci in range(len(bundle.fan.max_cones))
+    )

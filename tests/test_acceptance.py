@@ -135,14 +135,12 @@ def test_criterion_07_flat_compatibility():
         split = _doc("p2_sum_d0_d12").bundle
         gs = bundle_ground_set(split)
         e2 = gs.index_of_line((0, 1))
-        ok, _ = is_compatible_flat(split, closure(gs, (e2,)))
-        assert ok
+        assert is_compatible_flat(split, closure(gs, (e2,)))
 
         tan = _doc("p2_tangent").bundle
         gs_t = bundle_ground_set(tan)
         for flat in proper_nonzero_flats(gs_t):
-            ok, _ = is_compatible_flat(tan, flat)
-            assert not ok
+            assert not is_compatible_flat(tan, flat)
 
         r3 = _doc("p2_rank3").bundle
         f_space = span([(1, 0, 0), (0, 0, 1)], 3)

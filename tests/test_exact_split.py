@@ -30,8 +30,13 @@ from toricbundles.bundle import (
     check_compatibility,
 )
 from toricbundles.io import parse_document
-from toricbundles.linalg import span
-from toricbundles.matroid import is_subbundle
+from toricbundles.linalg import Subspace, span
+from toricbundles.matroid import (
+    bundle_ground_set,
+    enumerate_flats,
+    is_compatible_flat,
+    is_subbundle,
+)
 from toricbundles.stability import check_stability, validate_polarization
 
 
@@ -92,6 +97,9 @@ def test_subbundle_verdicts_match_the_reference(case, data):
     for f_space in spaces:
         if f_space.dim:
             assert is_subbundle(bundle, f_space) == reference_is_subbundle(bundle, f_space)
+    for flat in enumerate_flats(bundle_ground_set(bundle)):
+        if flat.rank:
+            assert is_compatible_flat(bundle, flat) == reference_is_subbundle(bundle, flat.subspace)
 
 
 @settings(max_examples=30, deadline=None)
@@ -106,6 +114,29 @@ def test_subbundle_verdicts_on_surfaces_match_the_reference(data):
         f_space = span(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=rank)), rank)
         if f_space.dim:
             assert is_subbundle(bundle, f_space) == reference_is_subbundle(bundle, f_space)
+
+
+def test_preferred_split_of_a_compatible_bundle_never_reports_a_witness(documents):
+    """Preferring F only orders each profile's rows, so every cone of a
+    compatible bundle splits whatever F is, subbundle or not: here the
+    line of each ground vector and of each unit vector, and every flat."""
+    tangent = documents["p2_tangent"].bundle
+    # <(1, 0)> is no subbundle of T_P2, and its split on cone 1 has no line in it
+    split = _split_cone(tangent, 1, prefer=span([(1, 0)], 2))
+    assert not isinstance(split, IncompatibilityWitness)
+    assert not any(span([(1, 0)], 2).contains(v) for _, v in split)
+    for name in FIXTURE_NAMES:
+        bundle = documents[name].bundle
+        check_compatibility(bundle)
+        gs = bundle_ground_set(bundle)
+        unit = [tuple(int(i == k) for i in range(bundle.rank)) for k in range(bundle.rank)]
+        preferred = [span([v], bundle.rank) for v in gs.rows + tuple(unit)]
+        preferred += [f.subspace for f in enumerate_flats(gs)] + [Subspace.zero(bundle.rank)]
+        for f_space in preferred:
+            for ci in range(len(bundle.fan.max_cones)):
+                split = _split_cone(bundle, ci, prefer=f_space)
+                assert not isinstance(split, IncompatibilityWitness), (name, ci, split)
+                assert verify_cone_split(bundle, ci, split)
 
 
 # three distinct lines of one plane, each jumping on its own ray of the

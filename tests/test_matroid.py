@@ -9,7 +9,7 @@ from subspace_reference import ground_set as reference_ground_set
 from subspace_reference import is_subbundle as reference_is_subbundle
 from test_exact_split import basis_bundles
 
-from toricbundles.bundle import check_compatibility, direct_sum, line_bundle
+from toricbundles.bundle import _split_cone, check_compatibility, direct_sum, line_bundle
 from toricbundles.fan import Fan
 from toricbundles.linalg import Subspace, intersect, span
 from toricbundles.matroid import (
@@ -222,8 +222,11 @@ def test_compatible_flats_split(documents):
     gs = bundle_ground_set(bundle)
     e2 = gs.index_of_line((0, 1))
     flat = closure(gs, (e2,))
-    ok, witness = is_compatible_flat(bundle, flat)
-    assert ok
+    assert is_compatible_flat(bundle, flat)
+    witness = [
+        _split_cone(bundle, ci, prefer=flat.subspace)
+        for ci in range(len(bundle.fan.max_cones))
+    ]
     # every witness basis meets the flat's span in exactly one line
     for pairs in witness:
         assert sum(1 for _, v in pairs if flat.subspace.contains(v)) == 1
@@ -239,15 +242,13 @@ def test_tangent_flats_not_compatible(p2_tangent):
     bundle = p2_tangent.bundle
     gs = bundle_ground_set(bundle)
     for f in proper_nonzero_flats(gs):
-        ok, _ = is_compatible_flat(bundle, f)
-        assert not ok
+        assert not is_compatible_flat(bundle, f)
 
 
 def test_full_flat_compatible(p2_tangent):
     gs = bundle_ground_set(p2_tangent.bundle)
     full = closure(gs, tuple(range(len(gs.vectors))))
-    ok, _ = is_compatible_flat(p2_tangent.bundle, full)
-    assert ok
+    assert is_compatible_flat(p2_tangent.bundle, full)
 
 
 def test_subbundle_rank3(p2_rank3):
