@@ -125,7 +125,7 @@ class FanReport:
 
 def positively_spans(vectors, dim) -> bool:
     """Exact test that the vectors positively span R^dim (dual cone = 0)."""
-    vecs = [tuple(int(x) for x in v) for v in vectors]
+    vecs = [tuple(exact_int(x) for x in v) for v in vectors]
     if integer_rank(vecs) < dim:
         return False
     # a nonzero dual vector exists iff one lies on an extreme ray cut out by

@@ -417,7 +417,7 @@ def is_primitive(v: Sequence[int]) -> bool:
 def _unimodular_columns(rows: Sequence[Sequence[int]], width: int) -> tuple[list[list[int]], int]:
     """(columns of a unimodular matrix U, rank k of M) by unimodular column
     reduction: M U has nonzero columns only among its first k."""
-    mat = [tuple(int(x) for x in r) for r in rows]
+    mat = [tuple(exact_int(x) for x in r) for r in rows]
     cols = [[1 if i == j else 0 for i in range(width)] for j in range(width)]
     fixed = 0
     for r in mat:
@@ -457,7 +457,7 @@ def lattice_frame(v: Sequence[int], d: int) -> tuple[IntRow, list[IntRow]]:
     """(w, B) for a primitive vector v: an integer w with <v, w> = 1 and a
     lattice basis B of {m in Z^d : <m, v> = 0}. Together they form a basis
     of Z^d: the columns of the unimodular column reduction of the row v."""
-    vv = tuple(int(x) for x in v)
+    vv = tuple(exact_int(x) for x in v)
     if len(vv) != d:
         raise ValueError(f"expected a vector of length {d}")
     if all(x == 0 for x in vv):

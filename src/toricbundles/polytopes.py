@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .fan import Fan
-from .linalg import Vector, _solve, dot
+from .linalg import Vector, _solve, dot, exact_int
 
 MAX_LATTICE_SCAN = 10**6  # bounding-box points `lattice_points` may scan
 
@@ -25,7 +25,7 @@ class HPolytope:
     __slots__ = ("rays", "bounds", "_vertices")
 
     def __init__(self, rays, bounds):
-        self.rays = tuple(tuple(int(x) for x in r) for r in rays)
+        self.rays = tuple(tuple(exact_int(x) for x in r) for r in rays)
         self.bounds = tuple(bounds)
         if any(isinstance(c, float) for c in self.bounds):
             raise TypeError(f"float bound in {self.bounds}: give ints or Fractions")

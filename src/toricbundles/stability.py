@@ -46,17 +46,21 @@ class Polarization:
 def _scaled_weights(fan: Fan, weights: tuple) -> tuple[int, list[int]]:
     """(den, t): ints or Fractions as integers t over their common
     denominator den, after the tests every polarization passes. Raises
-    TypeError on a float, and PolarizationError unless there is one weight
-    per ray, none is negative and sum t_i v_i = 0. Builds a `Fraction` only
-    for the balance defect it reports."""
+    TypeError on a float or another non-rational weight, and
+    PolarizationError unless there is one weight per ray, none is negative
+    and sum t_i v_i = 0. Builds a `Fraction` only for the balance defect it
+    reports."""
     if any(isinstance(x, float) for x in weights):
         raise TypeError(f"float weight in {weights}: give ints or Fractions")
     if len(weights) != len(fan.rays):
         raise PolarizationError(
             f"got {len(weights)} weights for {len(fan.rays)} rays"
         )
-    den = lcm(*(x.denominator for x in weights))
-    t = [x.numerator * (den // x.denominator) for x in weights]
+    try:
+        den = lcm(*(x.denominator for x in weights))
+        t = [x.numerator * (den // x.denominator) for x in weights]
+    except AttributeError:
+        raise TypeError(f"non-rational weight in {weights}: give ints or Fractions") from None
     if any(n < 0 for n in t):
         raise PolarizationError("weights must be nonnegative")
     balance = [sum(map(mul, t, column)) for column in zip(*fan.rays)]

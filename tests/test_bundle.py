@@ -16,9 +16,10 @@ from toricbundles.bundle import (
     twist_by_character,
     twist_by_divisor,
 )
-from toricbundles.fan import Fan
-from toricbundles.linalg import Subspace, span
+from toricbundles.fan import Fan, positively_spans
+from toricbundles.linalg import Subspace, integer_kernel_basis, lattice_frame, span
 from toricbundles.matroid import bundle_ground_set
+from toricbundles.polytopes import HPolytope
 
 P2_FAN = Fan(2, [(-1, -1), (1, 0), (0, 1)], [(0, 1), (0, 2), (1, 2)])
 P3_FAN = Fan(
@@ -205,6 +206,10 @@ _INTEGER_INPUTS = {
     "line-bundle": lambda x: line_bundle(P2_FAN, (x, 0, 0)),
     "divisor-twist": lambda x: twist_by_divisor(tangent_bundle(P2_FAN), (x, 0, 0)),
     "character-twist": lambda x: twist_by_character(tangent_bundle(P2_FAN), (x, 0)),
+    "polytope-ray": lambda x: HPolytope([(x, 0), (0, 1), (-1, -1)], [1, 1, 1]),
+    "positive-span": lambda x: positively_spans([(x, 0), (0, 1), (-1, -1)], 2),
+    "kernel-row": lambda x: integer_kernel_basis([(x, 1)], 2),
+    "lattice-frame": lambda x: lattice_frame((x, 1), 2),
 }
 
 

@@ -1,5 +1,6 @@
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 
@@ -380,11 +381,12 @@ def test_check_stability_rejects_malformed_polarizations(documents):
 
 
 def test_check_stability_and_validate_polarization_share_one_guard(documents):
-    """A float, a wrong count, a negative weight or a balance defect raise
-    the same error with the same message from both."""
+    """A float or another non-rational weight, a wrong count, a negative
+    weight or a balance defect raise the same error with the same message
+    from both."""
     bundle = documents["p2_tangent"].bundle
     for weights in ((1.0, 1.0, 1.0), (1, 1), (1, 1, 1, 1), (-1, 1, 1), (1, 2, 1),
-                    (Fraction(1, 2), 1, 1)):
+                    (Fraction(1, 2), 1, 1), ("1", 1, 1), (None, 1, 1), (Decimal("1"), 1, 1)):
         with pytest.raises((TypeError, PolarizationError)) as checked:
             check_stability(bundle, Polarization(weights))
         with pytest.raises(checked.type, match=re.escape(str(checked.value))):
