@@ -235,12 +235,11 @@ def _cmd_flats(args, doc):
     gs = bundle_ground_set(doc.bundle)
     flats = []
     for flat in enumerate_flats(gs):
-        compatible = is_compatible_flat(doc.bundle, flat)
         flats.append(
             {
                 "indices": list(flat.indices),
                 "rank": flat.rank,
-                "compatible": compatible,
+                "compatible": is_compatible_flat(doc.bundle, flat),
                 "trivial": flat.rank in (0, doc.bundle.rank),
             }
         )

@@ -129,8 +129,8 @@ def test_preferred_split_of_a_compatible_bundle_never_reports_a_witness(document
         bundle = documents[name].bundle
         check_compatibility(bundle)
         gs = bundle_ground_set(bundle)
-        unit = [tuple(int(i == k) for i in range(bundle.rank)) for k in range(bundle.rank)]
-        preferred = [span([v], bundle.rank) for v in gs.rows + tuple(unit)]
+        units = Subspace.full(bundle.rank).int_rows
+        preferred = [span([v], bundle.rank) for v in gs.rows + units]
         preferred += [f.subspace for f in enumerate_flats(gs)] + [Subspace.zero(bundle.rank)]
         for f_space in preferred:
             for ci in range(len(bundle.fan.max_cones)):
