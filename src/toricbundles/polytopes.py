@@ -1,13 +1,13 @@
 """H-polytopes over a fan's ray normals: vertices, lattice points, emptiness.
 
 A polytope is { m : <m, v_i> <= c_i } with one rational bound per ray (ints
-or Fractions; a float is a ``TypeError``). Whenever the rays positively span
-(guaranteed by fan validation) these are bounded, so emptiness coincides
-with having no basic feasible solution and vertex enumeration over
-ray-subsets is exhaustive. Vertices are found in integers: the bounds are
-scaled to integers once, each d-subset is solved by integer elimination, and
-containment is tested with integer dot products; only the vertices kept
-become Fractions.
+or Fractions; a float or any other type is a ``TypeError``). Whenever the
+rays positively span (guaranteed by fan validation) these are bounded, so
+emptiness coincides with having no basic feasible solution and vertex
+enumeration over ray-subsets is exhaustive. Vertices are found in integers:
+the bounds are scaled to integers once, each d-subset is solved by integer
+elimination, and containment is tested with integer dot products; only the
+vertices kept become Fractions.
 """
 from __future__ import annotations
 
@@ -29,6 +29,8 @@ class HPolytope:
         self.bounds = tuple(bounds)
         if any(isinstance(c, float) for c in self.bounds):
             raise TypeError(f"float bound in {self.bounds}: give ints or Fractions")
+        if not all(isinstance(c, (int, Fraction)) for c in self.bounds):
+            raise TypeError(f"non-rational bound in {self.bounds}: give ints or Fractions")
         if len(self.rays) != len(self.bounds):
             raise ValueError("one bound per ray required")
         self._vertices = None

@@ -24,6 +24,7 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter, mul
+from typing import NamedTuple
 
 from .bundle import ToricBundle, _profile_multiplicities, check_compatibility
 from .fan import Fan, FanError, Wall, validate_fan, wall_normal
@@ -249,8 +250,7 @@ def compare_average_polytopes(p1: HPolytope, p2: HPolytope, pol: Polarization) -
 # the stability decision
 
 
-@dataclass(frozen=True)
-class FlatSlope:
+class FlatSlope(NamedTuple):
     flat: Flat
     slope: Fraction
     relation: Order  # versus mu(E)
@@ -380,7 +380,8 @@ def check_stability(bundle: ToricBundle, pol: Polarization) -> StabilityReport:
     is kept. Classes of different keys can share that pair, but the first
     of them has the first member with the least indices (`_slope_table`),
     and that member is the witness. A `Fraction` is built only for mu and
-    for each class's slope, which the flats of the class share.
+    for each class's slope. Each flat's row is a `FlatSlope` tuple that
+    shares its class's slope and relation.
     """
     den, t = _scaled_weights(bundle.fan, pol.weights)
     if not any(t):

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
@@ -119,6 +120,19 @@ def test_float_bounds_are_rejected():
     with pytest.raises(TypeError, match="float"):
         weights_from_divisor(P2_FAN, [0.5, 1, 1])
     assert newton_polytope(P2_FAN, [Fraction(1, 2), 1, 1]).bounds == (Fraction(1, 2), 1, 1)
+
+
+@pytest.mark.parametrize("bound", ["1", None, Decimal("1")], ids=["str", "None", "Decimal"])
+@pytest.mark.parametrize("build", [
+    lambda c: HPolytope(P2_FAN.rays, (c, 0, 0)),
+    lambda c: weights_from_divisor(P2_FAN, (c, 0, 0)),
+], ids=["polytope", "divisor-weights"])
+def test_non_rational_bounds_are_refused_when_built(build, bound):
+    """Refused where the polytope is built: kept, such a bound fails only
+    where it is first read, and in `weights_from_divisor` as an
+    `AttributeError`."""
+    with pytest.raises(TypeError, match=r"^non-rational bound in \("):
+        build(bound)
 
 
 VERTEX_FANS = (

@@ -52,6 +52,7 @@ from toricbundles.matroid import (
     proper_nonzero_flats,
 )
 from toricbundles.stability import (
+    FlatSlope,
     Polarization,
     PolarizationError,
     _slope_table,
@@ -398,6 +399,30 @@ def test_second_polarization_builds_a_fraction_per_class(monkeypatch):
     assert len(made) <= len(classes) + 2 < len(members)
     assert all(isinstance(fs.slope, Fraction) for fs in report.flat_slopes)
     assert isinstance(report.mu, Fraction) and isinstance(report.witness_slope, Fraction)
+
+
+def test_flat_slope_rows_are_named_tuples(p2_tangent):
+    report = check_stability(p2_tangent.bundle, p2_tangent.polarization())
+    assert FlatSlope._fields == ("flat", "slope", "relation")
+    row = report.flat_slopes[0]
+    assert FlatSlope(flat=row.flat, slope=row.slope, relation=row.relation) == row
+    assert repr(row) == (
+        "FlatSlope(flat=Flat(indices=(0,), rank=1), slope=Fraction(1, 1), "
+        "relation=<Order.LESS: '<'>)"
+    )
+    with pytest.raises(AttributeError):
+        row.slope = Fraction(0)
+    assert all(isinstance(fs, FlatSlope) and isinstance(fs, tuple) for fs in report.flat_slopes)
+
+
+def test_rows_of_a_class_share_its_slope_object():
+    """One `Fraction` per class, not per row, keeps the rows cheap."""
+    fan = projective_space(4)
+    bundle = direct_sum(tangent_bundle(fan), tangent_bundle(fan))
+    report = check_stability(bundle, validate_polarization(fan, (1,) * 5))
+    _, classes, members, _ = _slope_table(bundle)
+    assert len(report.flat_slopes) == len(members) == 727 and len(classes) == 10
+    assert len({id(fs.slope) for fs in report.flat_slopes}) <= len(classes)
 
 
 def test_slope_table_on_the_semistable_boundary():
